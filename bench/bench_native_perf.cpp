@@ -49,6 +49,13 @@ namespace {
 
 constexpr int kReps = 5;
 
+// The shared bench flags plus the scenario-section overrides.
+struct NativePerfOptions : BenchOptions {
+  int threads = 4;
+  std::string lock = "MUTEX";
+  std::string scenario;  // empty: every scenario
+};
+
 // One timed pass of the uncontested lock+unlock loop. Instantiated with a
 // concrete lock type (static tier: lock()/unlock() inline into the loop) or
 // with LockHandle (type-erased tier: two virtual calls per iteration).
@@ -198,17 +205,16 @@ struct ScenarioRow {
   std::string meter;
 };
 
-// One run per registered scenario through the unified driver, using the
-// lock/threads resolved once in main (the same values label the table and
-// the JSON record). Per-op latency recording stays on here (unlike the
+// One run per registered scenario through the unified driver, under the
+// --lock/--threads values (the same values label the table and the JSON
+// record). Per-op latency recording stays on here (unlike the
 // cache rows): the p99 is part of the tracked trajectory. The driver
 // attaches the default meter chain, so every row also carries joules/TPP --
 // RAPL numbers on permitted hosts, calibrated-model numbers elsewhere.
-std::vector<ScenarioRow> MeasureScenarios(const BenchOptions& options,
-                                          const std::string& lock, int threads) {
+std::vector<ScenarioRow> MeasureScenarios(const NativePerfOptions& options) {
   ScenarioConfig config;
-  config.lock_name = lock;
-  config.threads = threads;
+  config.lock_name = options.lock;
+  config.threads = options.threads;
   config.ops_per_thread = options.quick ? 6000 : 25000;
   std::vector<ScenarioRow> rows;
   for (const ScenarioInfo& info : RegisteredScenarios()) {
@@ -255,7 +261,7 @@ constexpr const char* kScalingLock = "TICKET";
 // and mixed mixes. Emitted as `scenario_scaling` in BENCH_native.json.
 // Throughput is best-of-3 per point: these runs are milliseconds long and
 // shared CI hosts routinely steal half a timeslice.
-std::vector<ScalingRow> MeasureScaling(const BenchOptions& options) {
+std::vector<ScalingRow> MeasureScaling(const NativePerfOptions& options) {
   struct Target {
     const char* scenario;
     std::uint32_t sharded_shards;  // the "sharded"/"combined" shard count
@@ -359,20 +365,23 @@ std::vector<NetServeRow> MeasureNetServe(const BenchOptions& options) {
 
 int main(int argc, char** argv) {
   using namespace lockin;
-  const BenchOptions options =
-      BenchOptions::Parse(argc, argv, /*extra_flags=*/{}, /*with_scenario_flags=*/true);
+  NativePerfOptions options;
+  FlagParser flags;
+  options.Register(flags);
+  flags.Int("--threads", &options.threads, 1, 4096, "scenario worker threads (default 4)");
+  flags.String("--lock", &options.lock, "NAME", "lock for the scenario section (default MUTEX)");
+  flags.String("--scenario", &options.scenario, "NAME",
+               "restrict the scenario sections to one scenario");
+  flags.Parse(argc, argv);
   // Validate the scenario-section overrides up front: a typo must fail
   // loudly here, not abort mid-run (--lock) or silently empty the tracked
   // scenarios array (--scenario).
-  if (!options.lock.empty() && MakeLock(options.lock) == nullptr) {
-    std::cerr << argv[0] << ": unknown lock: " << options.lock << "\n";
-    return 2;
+  if (MakeLock(options.lock) == nullptr) {
+    flags.Fail("unknown lock: " + options.lock);
   }
   if (!options.scenario.empty() &&
       ScenarioRegistry::Instance().Find(options.scenario) == nullptr) {
-    std::cerr << argv[0] << ": unknown scenario: " << options.scenario
-              << " (see scenario_runner --list)\n";
-    return 2;
+    flags.Fail("unknown scenario: " + options.scenario + " (see scenario_runner --list)");
   }
 
   // --- 1. Dispatch tiers, uncontested -------------------------------------
@@ -424,10 +433,7 @@ int main(int argc, char** argv) {
             "segmented-LRU scale scenario; 4 threads, MUTEX)");
 
   // --- 4. Scenario layer: every mini-system through the unified driver -----
-  const std::string scenario_lock = options.lock.empty() ? "MUTEX" : options.lock;
-  const int scenario_threads = options.threads > 0 ? options.threads : 4;
-  const std::vector<ScenarioRow> scenario_rows =
-      MeasureScenarios(options, scenario_lock, scenario_threads);
+  const std::vector<ScenarioRow> scenario_rows = MeasureScenarios(options);
   TextTable scenario_table({"scenario", "system", "Mops/s", "op_p99_kcycles", "joules",
                             "TPP(op/J)", "meter"});
   for (const ScenarioRow& row : scenario_rows) {
@@ -436,8 +442,8 @@ int main(int argc, char** argv) {
                            FormatDouble(row.tpp, 0), row.meter});
   }
   EmitTable(scenario_table, options,
-            "Registered scenarios via the unified native driver (" + scenario_lock + ", " +
-                std::to_string(scenario_threads) + " threads; energy via RAPL-or-model chain)");
+            "Registered scenarios via the unified native driver (" + options.lock + ", " +
+                std::to_string(options.threads) + " threads; energy via RAPL-or-model chain)");
 
   // --- 5. ShardCombine thread scaling --------------------------------------
   const std::vector<ScalingRow> scaling_rows = MeasureScaling(options);
@@ -490,8 +496,8 @@ int main(int argc, char** argv) {
          << (i + 1 < cache_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"scenario_lock\": \"" << scenario_lock << "\",\n"
-       << "  \"scenario_threads\": " << scenario_threads << ",\n"
+       << "  \"scenario_lock\": \"" << options.lock << "\",\n"
+       << "  \"scenario_threads\": " << options.threads << ",\n"
        << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < scenario_rows.size(); ++i) {
     const ScenarioRow& row = scenario_rows[i];

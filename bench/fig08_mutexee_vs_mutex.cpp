@@ -13,8 +13,12 @@
 
 int main(int argc, char** argv) {
   using namespace lockin;
-  const BenchOptions options = BenchOptions::Parse(argc, argv, {"--no-grace"});
-  const bool no_grace = options.HasExtra("--no-grace");
+  BenchOptions options;
+  bool no_grace = false;
+  FlagParser flags;
+  options.Register(flags);
+  flags.Bool("--no-grace", &no_grace, "disable MUTEXEE's user-space unlock grace window");
+  flags.Parse(argc, argv);
 
   WorkloadEnv env;
   env.lock_options.mutexee.enable_unlock_grace = !no_grace;

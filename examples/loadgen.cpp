@@ -3,101 +3,45 @@
 //   $ ./loadgen --port 7911 --connections 8 --pipeline 64 --duration-ms 5000
 //   $ ./loadgen --port 7911 --rate 50000 --json
 //
-// Flags:
-//   --port N          server port on 127.0.0.1 (required)
-//   --connections N   concurrent connections (default 4)
-//   --pipeline N      in-flight requests per connection (default 8)
-//   --duration-ms N   send window in milliseconds (default 2000)
-//   --get-percent P   GET share of the mix, rest SET (default 80)
-//   --key-space N     keys are uniform over [0, N) (default 10000)
-//   --value-bytes N   SET payload size (default 64)
-//   --rate N          fixed offered rate in requests/s across all
-//                     connections (default 0 = saturation: keep every
-//                     pipeline slot full)
-//   --threads N       client threads; connections are striped (default 1)
-//   --seed N          workload seed (default 42)
-//   --json            print the result as one JSON object (default: text)
+// `--help` lists every flag (the usage is generated from the registrations
+// in main). --port is required.
 //
 // Open-loop semantics: in rate mode a late reply never delays the next
 // send, so queueing delay shows up in the latency histogram instead of
 // being silently absorbed (no coordinated omission).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/net/loadgen.hpp"
-
-namespace {
-
-using namespace lockin;
-
-void PrintUsage(const char* prog, std::FILE* out) {
-  std::fprintf(out,
-               "usage: %s --port N [options]\n"
-               "  --connections N  --pipeline N  --duration-ms N  --get-percent P\n"
-               "  --key-space N  --value-bytes N  --rate N  --threads N  --seed N  --json\n",
-               prog);
-}
-
-[[noreturn]] void Fail(const char* prog, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
-  PrintUsage(prog, stderr);
-  std::exit(2);
-}
-
-}  // namespace
+#include "src/platform/flags.hpp"
 
 int main(int argc, char** argv) {
+  using namespace lockin;
   LoadgenOptions options;
   bool json = false;
-  auto value_of = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      Fail(argv[0], std::string(flag) + " requires a value");
-    }
-    return argv[++i];
-  };
-  auto int_of = [&](int& i, const char* flag, long min, long max) -> long {
-    const char* value = value_of(i, flag);
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < min || parsed > max) {
-      Fail(argv[0], std::string("invalid ") + flag + " value: " + value);
-    }
-    return parsed;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0) {
-      options.port = static_cast<std::uint16_t>(int_of(i, "--port", 1, 65535));
-    } else if (std::strcmp(argv[i], "--connections") == 0) {
-      options.connections = static_cast<std::size_t>(int_of(i, "--connections", 1, 10000));
-    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      options.pipeline = static_cast<std::size_t>(int_of(i, "--pipeline", 1, 100000));
-    } else if (std::strcmp(argv[i], "--duration-ms") == 0) {
-      options.duration_ms = static_cast<std::uint64_t>(int_of(i, "--duration-ms", 1, 86400000));
-    } else if (std::strcmp(argv[i], "--get-percent") == 0) {
-      options.get_percent = static_cast<int>(int_of(i, "--get-percent", 0, 100));
-    } else if (std::strcmp(argv[i], "--key-space") == 0) {
-      options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--value-bytes") == 0) {
-      options.value_bytes = static_cast<std::size_t>(int_of(i, "--value-bytes", 1, 1000000));
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      options.rate_per_s = static_cast<std::uint64_t>(int_of(i, "--rate", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.threads = static_cast<std::size_t>(int_of(i, "--threads", 1, 256));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = static_cast<std::uint64_t>(int_of(i, "--seed", 0, 1000000000));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      PrintUsage(argv[0], stdout);
-      return 0;
-    } else {
-      Fail(argv[0], std::string("unrecognized argument: ") + argv[i]);
-    }
-  }
+  FlagParser flags("--port N [options]");
+  flags.Int<std::uint16_t>("--port", &options.port, 1, 65535, "server port on 127.0.0.1");
+  flags.Int<std::size_t>("--connections", &options.connections, 1, 10000,
+                         "concurrent connections (default 4)");
+  flags.Int<std::size_t>("--pipeline", &options.pipeline, 1, 100000,
+                         "in-flight requests per connection (default 8)");
+  flags.Int<std::uint64_t>("--duration-ms", &options.duration_ms, 1, 86400000,
+                           "send window in milliseconds (default 2000)");
+  flags.Int("--get-percent", &options.get_percent, 0, 100,
+            "GET share of the mix, rest SET (default 80)");
+  flags.Int<std::uint64_t>("--key-space", &options.key_space, 1, 1000000000,
+                           "keys are uniform over [0, N) (default 10000)");
+  flags.Int<std::size_t>("--value-bytes", &options.value_bytes, 1, 1000000,
+                         "SET payload size (default 64)");
+  flags.Int<std::uint64_t>("--rate", &options.rate_per_s, 1, 1000000000,
+                           "fixed offered rate in requests/s (default: saturation)");
+  flags.Int<std::size_t>("--threads", &options.threads, 1, 256,
+                         "client threads; connections are striped (default 1)");
+  flags.Int<std::uint64_t>("--seed", &options.seed, 0, UINT64_MAX, "workload seed (default 42)");
+  flags.Bool("--json", &json, "print the result as one JSON object");
+  flags.Parse(argc, argv);
   if (options.port == 0) {
-    Fail(argv[0], "--port is required");
+    flags.Fail("--port is required");
   }
 
   const LoadgenResult result = RunLoadgen(options);

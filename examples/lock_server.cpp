@@ -6,34 +6,17 @@
 //   $ ./lock_server --port 7911 --system cache --lock MUTEXEE --workers 2
 //   $ ./lock_server --system kvstore --lock TICKET --deadline-us 500
 //
-// Flags:
-//   --port N          TCP port on 127.0.0.1 (default 0 = ephemeral; the
-//                     bound port is printed on stdout either way)
-//   --system NAME     kvstore | cache | nosql-cache | nosql-hash | nosql-btree
-//   --lock NAME       lock algorithm (default MUTEX)
-//   --shards N        shard count override (0 = the system's default shape)
-//   --combine         flat-combine shard mutations
-//   --rw              per-shard reader-writer locks
-//   --workers N       event-loop worker threads (default 1)
-//   --deadline-us N   per-op deadline: a command whose entry lock cannot be
-//                     acquired in time is shed with a -BUSY reply
-//   --failpoints SPEC arm named failpoints (grammar in
-//                     src/platform/failpoint.hpp; `scenario/op` fires once
-//                     per command inside the deadline window)
-//   --watchdog-ms N   stall watchdog over the event loops: a loop that
-//                     stops ticking dumps held locks + failpoints
-//   --stats-every S   print the metrics JSON to stderr every S seconds
+// `--help` lists every flag (the usage is generated from the registrations
+// in main). --failpoints takes the grammar in src/platform/failpoint.hpp;
+// `scenario/op` fires once per command inside the deadline window.
 //
 // SIGINT/SIGTERM drain cleanly: the listener closes, every connection gets
 // its buffered pipelined commands executed and replies flushed, then the
-// process exits 0 with a final stats line on stderr.
+// process exits 0 with a final stats line on stderr. A second signal exits
+// at once with 128 + signal, for a drain that hangs.
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <atomic>
-#include <chrono>
-#include <algorithm>
 #include <exception>
 #include <memory>
 #include <string>
@@ -42,119 +25,58 @@
 #include "src/locks/lock_registry.hpp"
 #include "src/net/server.hpp"
 #include "src/platform/failpoint.hpp"
-
-namespace {
-
-using namespace lockin;
-
-std::atomic<bool> g_stop{false};
-std::atomic<int> g_signal{0};
-
-void HandleStopSignal(int sig) {
-  g_stop.store(true, std::memory_order_relaxed);
-  g_signal.store(sig, std::memory_order_relaxed);
-}
-
-struct ServerCliOptions {
-  NetServerOptions server;
-  std::string failpoints;
-  long stats_every_s = 0;
-};
-
-void PrintUsage(const char* prog, std::FILE* out) {
-  std::fprintf(out,
-               "usage: %s [options]\n"
-               "  --port N  --system kvstore|cache|nosql-cache|nosql-hash|nosql-btree\n"
-               "  --lock NAME  --shards N  --combine  --rw  --workers N\n"
-               "  --deadline-us N  --failpoints SPEC  --watchdog-ms N  --stats-every S\n",
-               prog);
-}
-
-[[noreturn]] void Fail(const char* prog, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
-  PrintUsage(prog, stderr);
-  std::exit(2);
-}
-
-ServerCliOptions ParseArgs(int argc, char** argv) {
-  ServerCliOptions options;
-  auto value_of = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      Fail(argv[0], std::string(flag) + " requires a value");
-    }
-    return argv[++i];
-  };
-  auto int_of = [&](int& i, const char* flag, long min, long max) -> long {
-    const char* value = value_of(i, flag);
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < min || parsed > max) {
-      Fail(argv[0], std::string("invalid ") + flag + " value: " + value);
-    }
-    return parsed;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0) {
-      options.server.port = static_cast<std::uint16_t>(int_of(i, "--port", 0, 65535));
-    } else if (std::strcmp(argv[i], "--system") == 0) {
-      options.server.backend.system = value_of(i, "--system");
-    } else if (std::strcmp(argv[i], "--lock") == 0) {
-      options.server.backend.lock_name = value_of(i, "--lock");
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.server.backend.shards = static_cast<std::uint32_t>(int_of(i, "--shards", 1, 4096));
-    } else if (std::strcmp(argv[i], "--combine") == 0) {
-      options.server.backend.combine = true;
-    } else if (std::strcmp(argv[i], "--rw") == 0) {
-      options.server.backend.rw = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      options.server.workers = static_cast<std::size_t>(int_of(i, "--workers", 1, 256));
-    } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
-      options.server.backend.op_deadline_ns =
-          static_cast<std::uint64_t>(int_of(i, "--deadline-us", 1, 1000000000)) * 1000;
-    } else if (std::strcmp(argv[i], "--failpoints") == 0) {
-      options.failpoints = value_of(i, "--failpoints");
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
-      options.server.watchdog_ms = static_cast<std::uint64_t>(int_of(i, "--watchdog-ms", 1, 3600000));
-    } else if (std::strcmp(argv[i], "--stats-every") == 0) {
-      options.stats_every_s = int_of(i, "--stats-every", 1, 86400);
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      PrintUsage(argv[0], stdout);
-      std::exit(0);
-    } else {
-      Fail(argv[0], std::string("unrecognized argument: ") + argv[i]);
-    }
-  }
-  return options;
-}
-
-}  // namespace
+#include "src/platform/flags.hpp"
 
 int main(int argc, char** argv) {
-  const ServerCliOptions options = ParseArgs(argc, argv);
+  using namespace lockin;
+  NetServerOptions server_options;
+  NetBackendConfig& backend = server_options.backend;
+  std::uint64_t deadline_us = 0;
+  std::string failpoints_spec;
+  std::uint64_t stats_every_s = 0;
+  FlagParser flags;
+  flags.Int<std::uint16_t>("--port", &server_options.port, 0, 65535,
+                           "TCP port on 127.0.0.1 (default 0 = ephemeral; printed either way)");
+  flags.Choice("--system", &backend.system, CommandDispatcher::KnownSystems(),
+               "system to serve (default kvstore)");
+  flags.String("--lock", &backend.lock_name, "NAME", "lock algorithm (default MUTEX)");
+  flags.Int<std::uint32_t>("--shards", &backend.shards, 1, 4096, "shard count override");
+  flags.Bool("--combine", &backend.combine, "flat-combine shard mutations");
+  flags.Bool("--rw", &backend.rw, "per-shard reader-writer locks");
+  flags.Int<std::size_t>("--workers", &server_options.workers, 1, 256,
+                         "event-loop worker threads (default 1)");
+  flags.Int<std::uint64_t>("--deadline-us", &deadline_us, 1, 1000000000,
+                           "per-op deadline: shed with -BUSY if the entry lock is late");
+  flags.String("--failpoints", &failpoints_spec, "SPEC", "arm named failpoints");
+  flags.Int<std::uint64_t>("--watchdog-ms", &server_options.watchdog_ms, 1, 3600000,
+                           "stall watchdog over the event loops");
+  flags.Int<std::uint64_t>("--stats-every", &stats_every_s, 1, 86400,
+                           "print the metrics JSON to stderr every N seconds");
+  flags.Parse(argc, argv);
+  backend.op_deadline_ns = deadline_us * 1000;
   try {
-    MakeLockOrThrow(options.server.backend.lock_name);
+    MakeLockOrThrow(backend.lock_name);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
     return 2;
   }
-  if (options.server.backend.combine && options.server.backend.rw) {
-    Fail(argv[0], "--combine and --rw are mutually exclusive");
+  if (backend.combine && backend.rw) {
+    flags.Fail("--combine and --rw are mutually exclusive");
   }
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
+  InstallStopSignalHandlers();
   std::signal(SIGPIPE, SIG_IGN);  // stray writes to dead sockets are handled per-fd
 
   std::unique_ptr<ScopedFailpoints> failpoints;
-  if (!options.failpoints.empty()) {
+  if (!failpoints_spec.empty()) {
     try {
-      failpoints = std::make_unique<ScopedFailpoints>(options.failpoints, /*seed=*/1);
+      failpoints = std::make_unique<ScopedFailpoints>(failpoints_spec, /*seed=*/1);
     } catch (const std::exception& error) {
-      Fail(argv[0], error.what());
+      flags.Fail(error.what());
     }
   }
 
-  LockServer server(options.server);
+  LockServer server(server_options);
   try {
     server.Start();
   } catch (const std::exception& error) {
@@ -162,19 +84,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("listening on 127.0.0.1:%u (system=%s lock=%s workers=%zu)\n",
-              static_cast<unsigned>(server.port()), options.server.backend.system.c_str(),
-              options.server.backend.lock_name.c_str(),
-              std::max<std::size_t>(1, options.server.workers));
+              static_cast<unsigned>(server.port()), backend.system.c_str(),
+              backend.lock_name.c_str(), server_options.workers);
   std::fflush(stdout);  // the port line is how scripts find an ephemeral port
 
   // The signal handler only stores atomics; this watcher thread turns the
   // flag into a Drain() from a normal context.
   std::uint64_t waited_ms = 0;
-  while (!g_stop.load(std::memory_order_relaxed)) {
+  while (!StopFlag().load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     waited_ms += 50;
-    if (options.stats_every_s > 0 &&
-        waited_ms >= static_cast<std::uint64_t>(options.stats_every_s) * 1000) {
+    if (stats_every_s > 0 && waited_ms >= stats_every_s * 1000) {
       waited_ms = 0;
       std::fprintf(stderr, "%s\n", server.StatsJson().c_str());
     }

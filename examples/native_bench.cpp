@@ -6,20 +6,26 @@
 // columns are per op: acquire, critical section, release and the spin
 // outside the lock.
 //
-//   $ ./native_bench [threads] [cs_cycles] [duration_ms]
+//   $ ./native_bench --threads 8 --cs-cycles 2000 --ms 500
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/energy/rapl_meter.hpp"
+#include "src/platform/flags.hpp"
 #include "src/platform/topology.hpp"
 #include "src/systems/scenarios/scenario_defs.hpp"
 
 int main(int argc, char** argv) {
   using namespace lockin;
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  const std::uint64_t cs = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1000;
-  const std::uint64_t ms = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 200;
+  int threads = 4;
+  std::uint64_t cs = 1000;
+  std::uint64_t ms = 200;
+  FlagParser flags;
+  flags.Int("--threads", &threads, 1, 4096, "worker threads (default 4)");
+  flags.Int<std::uint64_t>("--cs-cycles", &cs, 0, 1000000000,
+                           "critical-section length in cycles (default 1000)");
+  flags.Int<std::uint64_t>("--ms", &ms, 1, 86400000, "run length per lock (default 200)");
+  flags.Parse(argc, argv);
 
   std::printf("host: %s | RAPL: %s\n", Topology::Detect().ToString().c_str(),
               RaplMeter::Available() ? "yes" : "no (model)");

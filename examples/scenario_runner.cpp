@@ -6,63 +6,22 @@
 //   $ ./scenario_runner --scenario cache/set-heavy --lock all --json
 //   $ ./scenario_runner --all --quick
 //
-// Flags:
-//   --list            print the scenario table (name, system, description)
-//   --scenario NAME   scenario to run (repeatable via --all)
-//   --all             run every registered scenario
-//   --lock NAME       lock algorithm, or "all" for every registered lock
-//   --threads N       worker threads (default 4)
-//   --ops N           operations per thread (default 40000; --quick: 8000)
-//   --seconds S       time-bounded run instead of fixed ops
-//   --seed N          workload seed (default 1)
-//   --read-percent P  override the scenario's default mix
-//   --key-space N     override the scenario's default key space
-//   --json            machine-readable output (one JSON object per run)
-//   --quick           short run (CI smoke)
-//
-// ShardCombine flags (src/systems/sharded.hpp):
-//   --shards N        override the scenario's default shard count (0 keeps
-//                     the registered paper shape: 1 for the single-lock
-//                     systems, 16 cache, 32 graph, 8 nosql/hash)
-//   --combine         flat-combine shard mutations (CombinerChannel)
-//   --rw              per-shard reader-writer locks (shared on read paths);
-//                     mutually exclusive with --combine
-//   --thread-sweep LIST  run each scenario x lock at every thread count in
-//                     the comma-separated LIST (e.g. 1,2,4,8) and, with
-//                     --json, emit the whole scaling curve set as ONE JSON
-//                     document ({"thread_sweep": ..., "curves": [...]})
-//
-// LockScope observability flags:
-//   --trace FILE      capture lock/futex/epoch events and write a Chrome
-//                     trace-event JSON (load in ui.perfetto.dev); single
-//                     scenario x lock only
-//   --metrics         print the process MetricsRegistry as flat JSON after
-//                     the runs
-//   --lockdep         arm the LockLint lock-order detector for the runs and
-//                     print any reported violations (exit 1 if any)
-//   --meter MODE      energy meter: auto (RAPL else model; default),
-//                     model, off
-//   --sample-ms N     sample the meter every N ms into an energy series
-//                     (and a watts counter track when tracing)
-//
-// FailSafe robustness flags:
-//   --failpoints SPEC arm named failpoints for the runs (grammar in
-//                     src/platform/failpoint.hpp, e.g. futex/wait=p0.01)
-//   --chaos           arm the default chaos profile (DefaultChaosSpec)
-//   --deadline-us N   per-op deadline: shed ops whose entry lock cannot be
-//                     acquired within N microseconds (after retries)
-//   --op-retries N    deadline-miss retries before shedding (default 3)
-//   --watchdog-ms N   stall watchdog: a worker making no progress for N ms
-//                     dumps held locks + failpoints and aborts (exit 3)
-//   --no-watchdog-abort  count stalls instead of aborting
+// `--help` lists every flag; the usage is generated from RegisterFlags
+// below. What the one-line help leaves out:
+//   --shards N        the registered shapes are 1 shard for the single-lock
+//                     systems, 16 cache, 32 graph, 8 nosql/hash
+//   --rw              mutually exclusive with --combine
+//   --thread-sweep L  with --json, emits the whole scaling-curve set as ONE
+//                     JSON document ({"thread_sweep": ..., "curves": [...]})
+//   --trace FILE      loads in ui.perfetto.dev; one scenario x lock only
+//   --failpoints SPEC grammar in src/platform/failpoint.hpp, e.g.
+//                     futex/wait=p0.01
 //
 // SIGINT/SIGTERM stop the runs cleanly: partial results, traces and metrics
-// are still written, and the process exits with 128 + signal.
-#include <cerrno>
-#include <csignal>
+// are still written, and the process exits with 128 + signal. A second
+// signal exits at once with 128 + signal (a hung run cannot flush).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -74,22 +33,13 @@
 #include "src/obs/metrics.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/failpoint.hpp"
+#include "src/platform/flags.hpp"
 #include "src/stats/table.hpp"
 #include "src/systems/workload_api.hpp"
 
 namespace {
 
 using namespace lockin;
-
-// Signal-to-stop wiring: the handler only stores to atomics; the driver's
-// workers poll g_stop via ScenarioConfig::external_stop.
-std::atomic<bool> g_stop{false};
-std::atomic<int> g_signal{0};
-
-void HandleStopSignal(int sig) {
-  g_stop.store(true, std::memory_order_relaxed);
-  g_signal.store(sig, std::memory_order_relaxed);
-}
 
 struct RunnerOptions {
   bool list = false;
@@ -98,157 +48,59 @@ struct RunnerOptions {
   bool quick = false;
   std::string scenario;
   std::string lock = "MUTEX";
-  int threads = 4;
   int ops = 0;  // 0 = default (40000, or 8000 with --quick)
   double seconds = 0;
-  std::uint64_t seed = 1;
-  int read_percent = -1;
-  std::uint64_t key_space = 0;
-  long shards = 0;  // 0 = scenario default
-  bool combine = false;
-  bool rw = false;
   std::vector<int> thread_sweep;
   std::string trace_path;
   bool metrics = false;
-  bool lockdep = false;
   std::string meter = "auto";
-  long sample_ms = 0;
   std::string failpoints;
   bool chaos = false;
-  long deadline_us = 0;
-  long op_retries = -1;  // -1 = keep the ScenarioConfig default
-  long watchdog_ms = 0;
-  bool watchdog_abort = true;
+  std::uint64_t deadline_us = 0;
+  bool no_watchdog_abort = false;
 };
 
-void PrintUsage(const char* prog, std::FILE* out) {
-  std::fprintf(out,
-               "usage: %s --list | --scenario NAME | --all [options]\n"
-               "  --lock NAME|all  --threads N  --ops N  --seconds S  --seed N\n"
-               "  --read-percent P  --key-space N  --json  --quick\n"
-               "  --shards N  --combine  --rw  --thread-sweep 1,2,4,8\n"
-               "  --trace FILE  --metrics  --lockdep  --meter auto|model|off  --sample-ms N\n"
-               "  --failpoints SPEC  --chaos  --deadline-us N  --op-retries N\n"
-               "  --watchdog-ms N  --no-watchdog-abort\n",
-               prog);
-}
-
-[[noreturn]] void Fail(const char* prog, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
-  PrintUsage(prog, stderr);
-  std::exit(2);
-}
-
-RunnerOptions ParseArgs(int argc, char** argv) {
-  RunnerOptions options;
-  auto value_of = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      Fail(argv[0], std::string(flag) + " requires a value");
-    }
-    return argv[++i];
-  };
-  auto int_of = [&](int& i, const char* flag, long min, long max) -> long {
-    const char* value = value_of(i, flag);
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < min || parsed > max) {
-      Fail(argv[0], std::string("invalid ") + flag + " value: " + value);
-    }
-    return parsed;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list") == 0) {
-      options.list = true;
-    } else if (std::strcmp(argv[i], "--all") == 0) {
-      options.all = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      options.json = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      options.quick = true;
-    } else if (std::strcmp(argv[i], "--scenario") == 0) {
-      options.scenario = value_of(i, "--scenario");
-    } else if (std::strcmp(argv[i], "--lock") == 0) {
-      options.lock = value_of(i, "--lock");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.threads = static_cast<int>(int_of(i, "--threads", 1, 4096));
-    } else if (std::strcmp(argv[i], "--ops") == 0) {
-      options.ops = static_cast<int>(int_of(i, "--ops", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      const char* value = value_of(i, "--seconds");
-      char* end = nullptr;
-      options.seconds = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options.seconds <= 0) {
-        Fail(argv[0], std::string("invalid --seconds value: ") + value);
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      // Full uint64 range: seeds are often derived from timestamps/hashes.
-      const char* value = value_of(i, "--seed");
-      char* end = nullptr;
-      errno = 0;
-      options.seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0' || errno == ERANGE) {
-        Fail(argv[0], std::string("invalid --seed value: ") + value);
-      }
-    } else if (std::strcmp(argv[i], "--read-percent") == 0) {
-      options.read_percent = static_cast<int>(int_of(i, "--read-percent", 0, 100));
-    } else if (std::strcmp(argv[i], "--key-space") == 0) {
-      options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.shards = int_of(i, "--shards", 1, 4096);
-    } else if (std::strcmp(argv[i], "--combine") == 0) {
-      options.combine = true;
-    } else if (std::strcmp(argv[i], "--rw") == 0) {
-      options.rw = true;
-    } else if (std::strcmp(argv[i], "--thread-sweep") == 0) {
-      // Comma-separated thread counts, e.g. "1,2,4,8".
-      const char* value = value_of(i, "--thread-sweep");
-      const char* cursor = value;
-      while (*cursor != '\0') {
-        char* end = nullptr;
-        const long parsed = std::strtol(cursor, &end, 10);
-        if (end == cursor || parsed < 1 || parsed > 4096 ||
-            (*end != '\0' && *end != ',')) {
-          Fail(argv[0], std::string("invalid --thread-sweep value: ") + value);
-        }
-        options.thread_sweep.push_back(static_cast<int>(parsed));
-        cursor = *end == ',' ? end + 1 : end;
-      }
-      if (options.thread_sweep.empty()) {
-        Fail(argv[0], "--thread-sweep requires at least one thread count");
-      }
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      options.trace_path = value_of(i, "--trace");
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      options.metrics = true;
-    } else if (std::strcmp(argv[i], "--lockdep") == 0) {
-      options.lockdep = true;
-    } else if (std::strcmp(argv[i], "--meter") == 0) {
-      options.meter = value_of(i, "--meter");
-      if (options.meter != "auto" && options.meter != "model" && options.meter != "off") {
-        Fail(argv[0], "invalid --meter value: " + options.meter + " (auto|model|off)");
-      }
-    } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-      options.sample_ms = int_of(i, "--sample-ms", 1, 60000);
-    } else if (std::strcmp(argv[i], "--failpoints") == 0) {
-      options.failpoints = value_of(i, "--failpoints");
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
-      options.chaos = true;
-    } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
-      options.deadline_us = int_of(i, "--deadline-us", 1, 1000000000);
-    } else if (std::strcmp(argv[i], "--op-retries") == 0) {
-      options.op_retries = int_of(i, "--op-retries", 0, 1000000);
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
-      options.watchdog_ms = int_of(i, "--watchdog-ms", 1, 3600000);
-    } else if (std::strcmp(argv[i], "--no-watchdog-abort") == 0) {
-      options.watchdog_abort = false;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      PrintUsage(argv[0], stdout);
-      std::exit(0);
-    } else {
-      Fail(argv[0], std::string("unrecognized argument: ") + argv[i]);
-    }
-  }
-  return options;
+// Registers every flag; the ScenarioConfig knobs that need no translation
+// are set in `config` directly.
+void RegisterFlags(FlagParser& flags, RunnerOptions& options, ScenarioConfig& config) {
+  flags.Bool("--list", &options.list, "print the scenario table");
+  flags.String("--scenario", &options.scenario, "NAME", "scenario to run");
+  flags.Bool("--all", &options.all, "run every registered scenario");
+  flags.String("--lock", &options.lock, "NAME|all", "lock algorithm (default MUTEX)");
+  flags.Int("--threads", &config.threads, 1, 4096, "worker threads (default 4)");
+  flags.Int("--ops", &options.ops, 1, 1000000000,
+            "operations per thread (default 40000; --quick: 8000)");
+  flags.Double("--seconds", &options.seconds, 0.001, 86400,
+               "run length in seconds, instead of a fixed op count");
+  flags.Int<std::uint64_t>("--seed", &config.seed, 0, UINT64_MAX, "workload seed (default 1)");
+  flags.Int("--read-percent", &config.read_percent, 0, 100, "override the scenario's mix");
+  flags.Int<std::uint64_t>("--key-space", &config.key_space, 1, 1000000000,
+                           "override the scenario's key space");
+  flags.Bool("--json", &options.json, "one JSON object per run");
+  flags.Bool("--quick", &options.quick, "short run (CI smoke)");
+  flags.Int<std::uint32_t>("--shards", &config.shards, 1, 4096,
+                           "override the scenario's shard count");
+  flags.Bool("--combine", &config.combine, "flat-combine shard mutations");
+  flags.Bool("--rw", &config.rw, "per-shard reader-writer locks");
+  flags.IntList("--thread-sweep", &options.thread_sweep, 1, 4096,
+                "run at every thread count in the list");
+  flags.String("--trace", &options.trace_path, "FILE", "write a Chrome trace-event JSON");
+  flags.Bool("--metrics", &options.metrics, "print the MetricsRegistry JSON after the runs");
+  flags.Bool("--lockdep", &config.lockdep, "arm the lock-order detector (exit 1 on a report)");
+  flags.Choice("--meter", &options.meter, {"auto", "model", "off"},
+               "energy meter (auto: RAPL else model)");
+  flags.Int<std::uint32_t>("--sample-ms", &config.energy_sample_ms, 1, 60000,
+                           "sample the meter every N ms");
+  flags.String("--failpoints", &options.failpoints, "SPEC", "arm named failpoints");
+  flags.Bool("--chaos", &options.chaos, "arm the default chaos profile");
+  flags.Int<std::uint64_t>("--deadline-us", &options.deadline_us, 1, 1000000000,
+                           "per-op deadline on the entry lock");
+  flags.Int<std::uint32_t>("--op-retries", &config.op_retries, 0, 1000000,
+                           "deadline-miss retries before shedding (default 3)");
+  flags.Int<std::uint32_t>("--watchdog-ms", &config.watchdog_ms, 1, 3600000,
+                           "stall watchdog: abort (exit 3) after N ms without progress");
+  flags.Bool("--no-watchdog-abort", &options.no_watchdog_abort,
+             "count stalls instead of aborting");
 }
 
 void ListScenarios(bool json) {
@@ -263,23 +115,23 @@ void ListScenarios(bool json) {
   }
 }
 
-void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions& options) {
+void EmitJson(const ScenarioResult& r, const ScenarioConfig& config) {
   std::printf("{\"scenario\": \"%s\", \"lock\": \"%s\", \"threads\": %d, "
               "\"seconds\": %.6f, \"total_ops\": %llu, \"ops_per_s\": %.1f",
               r.scenario.c_str(), r.lock_name.c_str(), r.threads, r.seconds,
               static_cast<unsigned long long>(r.total_ops), r.ops_per_s);
   // ShardCombine variant labels: printed only when requested on the command
   // line, so default runs keep byte-identical output.
-  if (options.shards > 0) {
-    std::printf(", \"shards\": %ld", options.shards);
+  if (config.shards > 0) {
+    std::printf(", \"shards\": %u", config.shards);
   }
-  if (options.combine) {
+  if (config.combine) {
     std::printf(", \"combine\": true");
   }
-  if (options.rw) {
+  if (config.rw) {
     std::printf(", \"rw\": true");
   }
-  if (record_latency) {
+  if (config.record_latency) {
     // Cycles stay the JSON unit (bit-stable across hosts whose TSC
     // calibration drifts); the human-readable table converts to ns.
     std::printf(", \"op_p50_cycles\": %llu, \"op_p99_cycles\": %llu, \"op_max_cycles\": %llu",
@@ -352,16 +204,19 @@ bool WriteTraceFile(const std::string& path, const std::string& process_name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const RunnerOptions options = ParseArgs(argc, argv);
+  RunnerOptions options;
+  ScenarioConfig config;
+  FlagParser flags("--list | --scenario NAME | --all [options]");
+  RegisterFlags(flags, options, config);
+  flags.Parse(argc, argv);
   if (options.list) {
     ListScenarios(options.json);
     return 0;
   }
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
+  InstallStopSignalHandlers();
 
   if (options.all && !options.scenario.empty()) {
-    Fail(argv[0], "--all and --scenario are mutually exclusive");
+    flags.Fail("--all and --scenario are mutually exclusive");
   }
   std::vector<std::string> scenario_names;
   if (options.all) {
@@ -376,7 +231,7 @@ int main(int argc, char** argv) {
     }
     scenario_names.push_back(options.scenario);
   } else {
-    Fail(argv[0], "one of --list, --scenario NAME or --all is required");
+    flags.Fail("one of --list, --scenario NAME or --all is required");
   }
 
   std::vector<std::string> lock_names;
@@ -393,36 +248,23 @@ int main(int argc, char** argv) {
   }
 
   if (options.ops > 0 && options.seconds > 0) {
-    Fail(argv[0], "--ops and --seconds are mutually exclusive");
+    flags.Fail("--ops and --seconds are mutually exclusive");
   }
-  ScenarioConfig config;
-  config.threads = options.threads;
   config.ops_per_thread = options.ops > 0 ? options.ops : (options.quick ? 8000 : 40000);
-  if (options.seconds > 0) {
-    // Floor at 1 ms: truncating a sub-millisecond request to 0 would
-    // silently fall back to fixed-op mode.
-    const double ms = options.seconds * 1000.0;
-    config.duration_ms = ms < 1.0 ? 1 : static_cast<std::uint64_t>(ms);
+  // --seconds is at least 1 ms, so a time-bounded run never truncates to 0
+  // (which would silently fall back to fixed-op mode).
+  config.duration_ms = static_cast<std::uint64_t>(options.seconds * 1000.0);
+  if (config.combine && config.rw) {
+    flags.Fail("--combine and --rw are mutually exclusive (a combiner pass "
+               "needs exclusive shard ownership)");
   }
-  config.seed = options.seed;
-  config.read_percent = options.read_percent;
-  config.key_space = options.key_space;
-  if (options.combine && options.rw) {
-    Fail(argv[0], "--combine and --rw are mutually exclusive (a combiner pass "
-                  "needs exclusive shard ownership)");
-  }
-  config.shards = static_cast<std::uint32_t>(options.shards);
-  config.combine = options.combine;
-  config.rw = options.rw;
   config.trace = !options.trace_path.empty();
-  config.lockdep = options.lockdep;
   config.meter = options.meter == "off"     ? MeterChoice::kOff
                  : options.meter == "model" ? MeterChoice::kModel
                                             : MeterChoice::kAuto;
-  config.energy_sample_ms = static_cast<std::uint32_t>(options.sample_ms);
 
   if (options.chaos && !options.failpoints.empty()) {
-    Fail(argv[0], "--chaos and --failpoints are mutually exclusive");
+    flags.Fail("--chaos and --failpoints are mutually exclusive");
   }
   config.failpoints = options.chaos ? DefaultChaosSpec() : options.failpoints;
   if (!config.failpoints.empty()) {
@@ -431,27 +273,23 @@ int main(int argc, char** argv) {
     try {
       ScopedFailpoints probe(config.failpoints, config.seed);
     } catch (const std::exception& error) {
-      Fail(argv[0], error.what());
+      flags.Fail(error.what());
     }
   }
-  config.op_deadline_ns = static_cast<std::uint64_t>(options.deadline_us) * 1000;
-  if (options.op_retries >= 0) {
-    config.op_retries = static_cast<std::uint32_t>(options.op_retries);
-  }
-  config.watchdog_ms = static_cast<std::uint32_t>(options.watchdog_ms);
-  config.watchdog_abort = options.watchdog_abort;
-  config.external_stop = &g_stop;
+  config.op_deadline_ns = options.deadline_us * 1000;
+  config.watchdog_abort = !options.no_watchdog_abort;
+  config.external_stop = &StopFlag();
 
   // One run per thread count: a plain run uses --threads, a sweep runs the
   // whole list (the scaling-curve mode).
   std::vector<int> thread_counts = options.thread_sweep;
   if (thread_counts.empty()) {
-    thread_counts.push_back(options.threads);
+    thread_counts.push_back(config.threads);
   }
 
   if (config.trace && scenario_names.size() * lock_names.size() * thread_counts.size() != 1) {
-    Fail(argv[0], "--trace captures one run; pick a single --scenario and --lock "
-                  "(and no --thread-sweep)");
+    flags.Fail("--trace captures one run; pick a single --scenario and --lock "
+               "(and no --thread-sweep)");
   }
 
   // Before an aborting watchdog kills the process, flush whatever
@@ -480,17 +318,17 @@ int main(int argc, char** argv) {
   std::string sweep_points;
   std::string sweep_curves;
   for (const std::string& scenario : scenario_names) {
-    if (g_stop.load(std::memory_order_relaxed)) {
+    if (StopFlag().load(std::memory_order_relaxed)) {
       break;  // interrupted: flush what completed, skip the rest
     }
     for (const std::string& lock : lock_names) {
-      if (g_stop.load(std::memory_order_relaxed)) {
+      if (StopFlag().load(std::memory_order_relaxed)) {
         break;
       }
       config.lock_name = lock;
       sweep_points.clear();
       for (const int threads : thread_counts) {
-        if (g_stop.load(std::memory_order_relaxed)) {
+        if (StopFlag().load(std::memory_order_relaxed)) {
           break;
         }
         config.threads = threads;
@@ -514,7 +352,7 @@ int main(int argc, char** argv) {
           }
           sweep_points += point;
         } else if (options.json) {
-          EmitJson(result, config.record_latency, options);
+          EmitJson(result, config);
         } else {
           table.AddRow({scenario, lock, std::to_string(result.threads),
                         FormatDouble(result.MopsPerS(), 3),
@@ -541,10 +379,10 @@ int main(int argc, char** argv) {
       }
       sweep_list += std::to_string(threads);
     }
-    std::printf("{\"thread_sweep\": [%s], \"shards\": %ld, \"combine\": %s, \"rw\": %s,\n"
+    std::printf("{\"thread_sweep\": [%s], \"shards\": %u, \"combine\": %s, \"rw\": %s,\n"
                 "  \"curves\": [\n    %s\n  ]}\n",
-                sweep_list.c_str(), options.shards, options.combine ? "true" : "false",
-                options.rw ? "true" : "false", sweep_curves.c_str());
+                sweep_list.c_str(), config.shards, config.combine ? "true" : "false",
+                config.rw ? "true" : "false", sweep_curves.c_str());
   } else if (!options.json) {
     table.Print(std::cout);
   }
@@ -559,7 +397,7 @@ int main(int argc, char** argv) {
   if (options.metrics) {
     MetricsRegistry::Instance().WriteJson(std::cout);
   }
-  if (options.lockdep) {
+  if (config.lockdep) {
     const std::vector<LockdepReport> reports = LockdepReports();
     const LockdepStats stats = LockdepGetStats();
     std::fprintf(stderr, "lockdep: %llu events, %llu edges, %zu violation(s)\n",
@@ -572,7 +410,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const int sig = g_signal.load(std::memory_order_relaxed);
+  const int sig = StopSignal();
   if (sig != 0) {
     std::fprintf(stderr, "%s: interrupted by signal %d; partial results flushed\n", argv[0], sig);
     return 128 + sig;

@@ -2,18 +2,23 @@
 // workload across thread counts on the paper's 40-hyper-thread testbed and
 // print throughput, power and TPP, like a row of the paper's Figure 11.
 //
-//   $ ./simulate_xeon [lock] [cs_cycles]
-//   $ ./simulate_xeon MUTEXEE 2000
+//   $ ./simulate_xeon --lock MUTEXEE --cs-cycles 2000
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "src/platform/flags.hpp"
 #include "src/sim/workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace lockin;
-  const std::string lock = argc > 1 ? argv[1] : "MUTEXEE";
-  const std::uint64_t cs = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1000;
+  std::string lock = "MUTEXEE";
+  std::uint64_t cs = 1000;
+  FlagParser flags;
+  flags.String("--lock", &lock, "NAME", "simulated lock (default MUTEXEE)");
+  flags.Int<std::uint64_t>("--cs-cycles", &cs, 0, 1000000000,
+                           "critical-section length in cycles (default 1000)");
+  flags.Parse(argc, argv);
 
   std::printf("simulated 2-socket Xeon (40 hyper-threads), lock=%s, critical section=%llu "
               "cycles\n\n",
@@ -26,11 +31,12 @@ int main(int argc, char** argv) {
     config.cs_cycles = cs;
     config.non_cs_cycles = 100;
     config.duration_cycles = 28'000'000;
-    const WorkloadResult r = RunLockWorkload(lock, config);
-    if (r.lock_stats.acquires == 0 && threads == 1) {
-      std::fprintf(stderr, "unknown lock '%s' (try MUTEX TAS TTAS TICKET MCS CLH MUTEXEE)\n",
-                   lock.c_str());
-      return 1;
+    WorkloadResult r;
+    try {
+      r = RunLockWorkload(lock, config);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+      return 2;
     }
     std::printf("%8d %14.3f %10.1f %14.2f %12llu %12llu\n", threads, r.ThroughputM(),
                 r.average_watts, r.TppK(),

@@ -10,7 +10,8 @@ AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config)
 
 AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePolicy> policy)
     : config_(std::move(config)),
-      policy_(policy ? std::move(policy) : MakePolicy(config_.policy)),
+      policy_(policy ? std::move(policy)
+                     : std::make_unique<EwmaThresholdPolicy>(config_.policy)),
       ttas_(config_.spin),
       futex_(config_.sleep),
       mutexee_(config_.mutexee),

@@ -58,12 +58,6 @@ struct LockSiteSnapshot {
   double sleep_ratio = 0.0;            // futex sleeps / acquisitions (epoch)
   double acquires_per_second = 0.0;    // epoch rate
   double energy_per_acquire_joules = 0.0;  // model estimate (dynamic only)
-
-  // The paper's throughput-per-power metric under the estimate above;
-  // what the bandit policy maximizes.
-  double EstimatedTpp() const {
-    return energy_per_acquire_joules > 0 ? 1.0 / energy_per_acquire_joules : 0.0;
-  }
 };
 
 class LockSiteStats {

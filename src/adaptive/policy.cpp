@@ -75,59 +75,6 @@ AdaptiveBackend EwmaThresholdPolicy::Decide(const LockSiteSnapshot& snapshot,
   return AdaptiveBackend::kMutexee;
 }
 
-EpsilonGreedyPolicy::EpsilonGreedyPolicy(const PolicyConfig& config)
-    : config_(config), rng_(config.seed * 2654435761ULL + 1), epsilon_(config.epsilon) {}
-
-double EpsilonGreedyPolicy::value(AdaptiveBackend backend) const {
-  return values_[static_cast<int>(backend)];
-}
-
-AdaptiveBackend EpsilonGreedyPolicy::Decide(const LockSiteSnapshot& snapshot,
-                                            AdaptiveBackend current) {
-  // Credit the closed epoch's reward to the backend that produced it.
-  const int cur = static_cast<int>(current);
-  const double reward = snapshot.EstimatedTpp();
-  if (!tried_[cur]) {
-    values_[cur] = reward;
-    tried_[cur] = true;
-  } else {
-    values_[cur] += config_.reward_alpha * (reward - values_[cur]);
-  }
-
-  // Try every arm once before exploiting.
-  for (int b = 0; b < kAdaptiveBackendCount; ++b) {
-    if (!tried_[b]) {
-      return static_cast<AdaptiveBackend>(b);
-    }
-  }
-
-  const double roll = rng_.NextDouble();
-  AdaptiveBackend choice = current;
-  if (roll < epsilon_) {
-    choice = static_cast<AdaptiveBackend>(rng_.NextBelow(kAdaptiveBackendCount));
-  } else {
-    int best = 0;
-    for (int b = 1; b < kAdaptiveBackendCount; ++b) {
-      if (values_[b] > values_[best]) {
-        best = b;
-      }
-    }
-    choice = static_cast<AdaptiveBackend>(best);
-  }
-  epsilon_ = std::max(config_.epsilon_min, epsilon_ * config_.epsilon_decay);
-  return choice;
-}
-
-std::unique_ptr<AdaptivePolicy> MakePolicy(const PolicyConfig& config) {
-  switch (config.kind) {
-    case PolicyConfig::Kind::kEwmaThreshold:
-      return std::make_unique<EwmaThresholdPolicy>(config);
-    case PolicyConfig::Kind::kEpsilonGreedy:
-      return std::make_unique<EpsilonGreedyPolicy>(config);
-  }
-  return std::make_unique<EwmaThresholdPolicy>(config);
-}
-
 MutexeeBudgets RetuneMutexeeBudgets(const LockSiteSnapshot& snapshot,
                                     const MutexeeBudgetBounds& bounds) {
   MutexeeBudgets budgets;

@@ -4,18 +4,13 @@
 // should use -- the decision the paper shows cannot be made statically
 // (sections 3-5: spinning wastes power under long waits, sleeping destroys
 // throughput and tail latency under short ones, MUTEXEE's fixed budgets are
-// tuned per platform). Two policies are provided:
-//
-//   * EwmaThresholdPolicy: classifies the observed wait-time EWMA into the
-//     three regimes with hysteresis. Short waits -> pure spinning (TTAS);
-//     long waits or heavy kernel involvement -> sleeping (MUTEX/futex);
-//     the middle ground -> MUTEXEE's spin-then-sleep. This mirrors the
-//     active/passive wait-policy tradeoff studied for OpenMP runtimes
-//     (Valter et al., 2022) with the paper's cycle budgets as thresholds.
-//
-//   * EpsilonGreedyPolicy: a bandit over the three backends that maximizes
-//     the profiler's estimated TPP (acquires/Joule) directly, for workloads
-//     whose regime the threshold rule misclassifies.
+// tuned per platform). EwmaThresholdPolicy classifies the observed
+// wait-time EWMA into the three regimes with hysteresis. Short waits -> pure
+// spinning (TTAS); long waits or heavy kernel involvement -> sleeping
+// (MUTEX/futex); the middle ground -> MUTEXEE's spin-then-sleep. This
+// mirrors the active/passive wait-policy tradeoff studied for OpenMP
+// runtimes (Valter et al., 2022) with the paper's cycle budgets as
+// thresholds. The AdaptivePolicy interface lets tests inject a fake.
 //
 // The engine also retunes MUTEXEE's spin/grace budgets inside bounds
 // derived from the platform tuner (RunMutexeeTuner) instead of trusting
@@ -30,7 +25,6 @@
 #include "src/adaptive/lock_stats.hpp"
 #include "src/locks/mutexee.hpp"
 #include "src/locks/tuner.hpp"
-#include "src/platform/rng.hpp"
 
 namespace lockin {
 
@@ -61,9 +55,6 @@ struct MutexeeBudgetBounds {
 };
 
 struct PolicyConfig {
-  enum class Kind { kEwmaThreshold, kEpsilonGreedy };
-  Kind kind = Kind::kEwmaThreshold;
-
   // EWMA-threshold policy: regime boundaries on the wait-time EWMA, and the
   // multiplicative hysteresis a boundary must be crossed by to leave the
   // current backend (prevents flapping at a threshold).
@@ -71,14 +62,7 @@ struct PolicyConfig {
   double sleep_wait_min_cycles = 40000.0;  // above: sleeping wins
   double hysteresis = 1.5;
 
-  // Epsilon-greedy bandit.
-  double epsilon = 0.2;
-  double epsilon_decay = 0.98;
-  double epsilon_min = 0.02;
-  double reward_alpha = 0.3;  // EWMA weight for per-backend reward updates
-  std::uint64_t seed = 1;
-
-  // MUTEXEE budget retuning (applies to both policies).
+  // MUTEXEE budget retuning.
   bool retune_mutexee = true;
   MutexeeBudgetBounds mutexee_bounds;
 };
@@ -104,26 +88,6 @@ class EwmaThresholdPolicy final : public AdaptivePolicy {
  private:
   PolicyConfig config_;
 };
-
-class EpsilonGreedyPolicy final : public AdaptivePolicy {
- public:
-  explicit EpsilonGreedyPolicy(const PolicyConfig& config);
-
-  AdaptiveBackend Decide(const LockSiteSnapshot& snapshot, AdaptiveBackend current) override;
-  std::string name() const override { return "epsilon-greedy"; }
-
-  // Learned value estimate for a backend (tests/diagnostics).
-  double value(AdaptiveBackend backend) const;
-
- private:
-  PolicyConfig config_;
-  Xoshiro256 rng_;
-  double epsilon_;
-  double values_[kAdaptiveBackendCount] = {0.0, 0.0, 0.0};
-  bool tried_[kAdaptiveBackendCount] = {false, false, false};
-};
-
-std::unique_ptr<AdaptivePolicy> MakePolicy(const PolicyConfig& config);
 
 // Retuned MUTEXEE spin-mode budgets for the observed regime, clamped to
 // `bounds`: spin a bit past the typical wait (so handovers stay in user

@@ -439,7 +439,7 @@ SimAdaptiveLock::SimAdaptiveLock(SimMachine* machine, SimAdaptiveConfig config,
                                  const SimLockOptions& inner_options)
     : SimLock(machine),
       config_(std::move(config)),
-      policy_(MakePolicy(config_.policy)),
+      policy_(std::make_unique<EwmaThresholdPolicy>(config_.policy)),
       profile_(AdaptiveEnergyParams::FromPowerParams(
           config_.power, machine->params().cycles_per_second)) {
   inner_[static_cast<int>(AdaptiveBackend::kSpin)] =
@@ -580,6 +580,13 @@ const SimFutex::Stats* SimAdaptiveLock::futex_stats() const {
 // ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
+
+const std::vector<std::string>& SimLockNames() {
+  static const std::vector<std::string> names = {"MUTEX",  "TAS",    "TTAS",    "TICKET",
+                                                 "MCS",    "CLH",    "TAS-BO",  "COHORT",
+                                                 "MUTEXEE", "MUTEXEE-TO", "ADAPTIVE"};
+  return names;
+}
 
 std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machine,
                                      const SimLockOptions& options) {

@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/adaptive/lock_stats.hpp"
 #include "src/adaptive/policy.hpp"
@@ -224,7 +225,7 @@ struct SimAdaptiveConfig {
   std::string name = "ADAPTIVE";
   // Power calibration for the profiler's energy-per-acquire estimate; must
   // match the machine the workload charges Joules with (WorkloadEnv::power)
-  // or the TPP-maximizing policy optimizes the wrong platform.
+  // or the estimate describes the wrong platform.
   PowerParams power = PowerParams::PaperXeon();
 };
 
@@ -300,8 +301,10 @@ struct SimLockOptions {
   PowerParams power = PowerParams::PaperXeon();
 };
 
-// Names: MUTEX, TAS, TTAS, TICKET, MCS, CLH, TAS-BO, COHORT, MUTEXEE,
-// MUTEXEE-TO, ADAPTIVE.
+// The names MakeSimLock models.
+const std::vector<std::string>& SimLockNames();
+
+// Returns nullptr for a name not in SimLockNames().
 std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machine,
                                      const SimLockOptions& options = {});
 

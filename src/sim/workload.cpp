@@ -1,6 +1,7 @@
 #include "src/sim/workload.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 #include "src/platform/rng.hpp"
 
@@ -89,7 +90,15 @@ void SetupDriver(Driver& driver, const std::string& lock_name, const WorkloadCon
     // The adaptive profiler must estimate energy with the same calibration
     // the machine charges Joules with.
     options.power = env.power;
-    driver.locks.push_back(MakeSimLock(lock_name, driver.machine.get(), options));
+    std::unique_ptr<SimLock> lock = MakeSimLock(lock_name, driver.machine.get(), options);
+    if (lock == nullptr) {
+      std::string message = "unknown simulated lock: " + lock_name + " (simulated:";
+      for (const std::string& name : SimLockNames()) {
+        message += " " + name;
+      }
+      throw std::invalid_argument(message + ")");
+    }
+    driver.locks.push_back(std::move(lock));
   }
 
   driver.pending_request_at.assign(static_cast<std::size_t>(config.threads),

@@ -70,6 +70,7 @@ struct WorkloadResult {
 
 // Runs the workload with `lock_name` (see MakeSimLock) on a machine with
 // `topology`. Uses the paper's Xeon power/sim parameters unless overridden.
+// Both runners throw std::invalid_argument for a name not in SimLockNames().
 struct WorkloadEnv {
   Topology topology = Topology::PaperXeon();
   PowerParams power = PowerParams::PaperXeon();

@@ -239,6 +239,10 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     throw std::invalid_argument("scenario declares more than kMaxCounters counters: " +
                                 scenario_name);
   }
+  if (config.threads < 1) {
+    throw std::invalid_argument("scenario " + scenario_name + " needs at least one thread, got " +
+                                std::to_string(config.threads));
+  }
 
   // FailSafe: arm the requested failpoint profile for the whole run (setup
   // included), seeded from the run seed so fire patterns are reproducible.

@@ -270,7 +270,8 @@ class ScenarioWorkload {
 };
 
 // Runs `workload` under `config` on the shared driver. `scenario_name` is
-// carried into the result for labeling only.
+// carried into the result for labeling only. Throws std::invalid_argument
+// before any thread starts when config.threads < 1.
 ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& config,
                            const std::string& scenario_name = "");
 

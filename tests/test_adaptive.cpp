@@ -86,37 +86,6 @@ TEST(EwmaThresholdPolicyTest, HysteresisPreventsFlappingAtTheBoundary) {
             AdaptiveBackend::kMutexee);
 }
 
-TEST(EpsilonGreedyPolicyTest, TriesEveryBackendThenConvergesToTheBest) {
-  PolicyConfig config;
-  config.kind = PolicyConfig::Kind::kEpsilonGreedy;
-  config.epsilon = 0.1;
-  config.epsilon_decay = 0.9;
-  config.epsilon_min = 0.0;
-  config.seed = 7;
-  EpsilonGreedyPolicy policy(config);
-
-  // Synthetic bandit: the spin backend yields 3x the TPP of the others.
-  auto reward_for = [](AdaptiveBackend b) {
-    LockSiteSnapshot snap;
-    snap.acquires = 256;
-    snap.energy_per_acquire_joules = b == AdaptiveBackend::kSpin ? 1e-6 : 3e-6;
-    return snap;
-  };
-
-  AdaptiveBackend current = AdaptiveBackend::kMutexee;
-  int spin_picks = 0;
-  for (int round = 0; round < 200; ++round) {
-    current = policy.Decide(reward_for(current), current);
-    if (round >= 100 && current == AdaptiveBackend::kSpin) {
-      ++spin_picks;
-    }
-  }
-  // After the exploration phase the best arm dominates.
-  EXPECT_GT(spin_picks, 80);
-  EXPECT_GT(policy.value(AdaptiveBackend::kSpin),
-            policy.value(AdaptiveBackend::kSleep));
-}
-
 TEST(MutexeeRetuneTest, BudgetsClampToTunerDerivedBounds) {
   MutexeeBudgetBounds bounds;
   bounds.spin_min_cycles = 4000;
@@ -183,7 +152,6 @@ TEST(LockSiteStatsTest, EpochDigestAggregatesAcquisitions) {
   EXPECT_NEAR(snap.sleep_ratio, 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(snap.acquires_per_second, 3.0 / 0.003, 1.0);
   EXPECT_GT(snap.energy_per_acquire_joules, 0.0);
-  EXPECT_GT(snap.EstimatedTpp(), 0.0);
   // The epoch counters reset; the EWMAs persist.
   EXPECT_EQ(stats.epoch_acquires(), 0u);
   EXPECT_EQ(stats.total_acquires(), 3u);
@@ -280,33 +248,6 @@ TEST(AdaptiveLockTest, EpochSwitchingPreservesMutualExclusion) {
   EXPECT_EQ(counter, static_cast<long long>(kThreads) * kIters);
   // The rotating policy switched through all three backends many times.
   EXPECT_GT(lock.backend_switches(), 50u);
-}
-
-TEST(AdaptiveLockTest, BanditPolicyAlsoPreservesExclusionUnderThreads) {
-  AdaptiveLockConfig config;
-  config.epoch_acquires = 64;
-  config.policy.kind = PolicyConfig::Kind::kEpsilonGreedy;
-  config.spin.yield_after = 64;
-  AdaptiveLock lock(config);
-
-  constexpr int kThreads = 4;
-  constexpr int kIters = 2000;
-  long long counter = 0;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        lock.lock();
-        counter = counter + 1;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(counter, static_cast<long long>(kThreads) * kIters);
 }
 
 // --- Registry round-trip ----------------------------------------------------

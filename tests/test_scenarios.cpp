@@ -129,10 +129,17 @@ TEST(ScenarioDriver, DurationModeStops) {
   }
 }
 
-TEST(ScenarioDriver, RejectsTooManyCounters) {
+TEST(ScenarioDriver, RejectsInvalidConfig) {
   CountingWorkload workload(ScenarioWorkload::kMaxCounters + 1);
   EXPECT_THROW(RunScenario(workload, ScenarioConfig{}, "test/overflow"),
                std::invalid_argument);
+  CountingWorkload counting;
+  for (const int threads : {0, -1}) {
+    ScenarioConfig config;
+    config.threads = threads;
+    EXPECT_THROW(RunScenario(counting, config, "test/no-threads"), std::invalid_argument)
+        << threads;
+  }
 }
 
 // --- Every scenario x every registered lock ----------------------------------

@@ -3,6 +3,8 @@
 // rely on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/sim/workload.hpp"
 
 namespace lockin {
@@ -92,6 +94,35 @@ INSTANTIATE_TEST_SUITE_P(AllSimLocks, SimLockParamTest,
                            }
                            return name;
                          });
+
+// Unknown names follow the lock registry's contract: the factory returns
+// nullptr, the workload runners throw std::invalid_argument naming the
+// offender. PTHREAD is a registered native lock that the simulator does not
+// model.
+TEST(SimLockFactory, UnknownNameThrowsInvalidArgument) {
+  SimEngine engine;
+  SimMachine machine(&engine, Topology::PaperXeon(), PowerParams::PaperXeon(),
+                     SimParams::PaperXeon());
+  for (const std::string& name : SimLockNames()) {
+    EXPECT_NE(MakeSimLock(name, &machine), nullptr) << name;
+  }
+  WorkloadConfig config;
+  config.threads = 2;
+  config.duration_cycles = 100000;
+  for (const char* name : {"BOGUS", "PTHREAD"}) {
+    EXPECT_EQ(MakeSimLock(name, &machine), nullptr) << name;
+    try {
+      RunLockWorkload(name, config);
+      ADD_FAILURE() << name << " did not throw";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+      EXPECT_NE(message.find("MUTEXEE"), std::string::npos) << message;
+    }
+    EXPECT_THROW(RunPhasedLockWorkload(name, config, {WorkloadPhase{}}), std::invalid_argument)
+        << name;
+  }
+}
 
 // --- Paper orderings ---------------------------------------------------------
 
