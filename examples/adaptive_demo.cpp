@@ -3,7 +3,7 @@
 // Runs the "lock/counter" scenario through three contention regimes --
 // uncontended, short critical sections under contention, long critical
 // sections under contention -- for a set of static locks and the ADAPTIVE
-// runtime, metering energy with the calibrated model. Prints per-regime
+// runtime, metering energy with RAPL or the CPU-time model. Prints per-regime
 // throughput-per-Joule and the summed scenario score, plus the backend the
 // adaptive lock settled on in each regime.
 //
@@ -35,7 +35,7 @@ struct Regime {
   std::uint64_t non_cs_cycles;
 };
 
-// Ops per Joule of one regime under `lock`, energy from the model meter.
+// Ops per Joule of one regime under `lock` (RAPL, else the CPU-time model).
 double RegimeTpp(const Regime& regime, const std::string& lock) {
   LockCounterScenario scenario({1, regime.cs_cycles, regime.non_cs_cycles});
   ScenarioConfig config;
@@ -43,7 +43,6 @@ double RegimeTpp(const Regime& regime, const std::string& lock) {
   config.threads = regime.threads;
   config.duration_ms = 200;
   config.record_latency = false;
-  config.meter = MeterChoice::kModel;
   // Keep spin backends live on hosts with fewer cores than threads.
   config.yield_after = 256;
   return RunScenario(scenario, config, "lock/counter").Tpp();

@@ -1,9 +1,11 @@
 // Domain scenario: measuring the energy of a lock-based workload with the
-// EnergyMeter stack -- RAPL when the host exposes it, the calibrated power
-// model otherwise (the paper's measurement methodology, portable).
+// EnergyMeter stack -- RAPL when the host exposes it, otherwise the
+// calibrated power model charged with the process's measured CPU time (the
+// paper's measurement methodology, portable).
 //
 // Runs a contended counter under two waiting strategies and prints average
-// power, energy and TPP (operations/Joule).
+// power, energy and TPP (operations/Joule). Sleeping waiters free their
+// hardware contexts, so the mutex row draws less power than the spinlock.
 //
 //   $ ./energy_report
 #include <cstdio>
@@ -22,24 +24,19 @@ namespace {
 using namespace lockin;
 
 template <typename Lock>
-EnergySample MeasureCounter(Lock& lock, ActivityRegistry* registry, EnergyMeter* meter,
-                            std::uint64_t* ops_out) {
+EnergySample MeasureCounter(Lock& lock, EnergyMeter* meter, std::uint64_t* ops_out) {
   constexpr int kThreads = 4;
-  constexpr int kOps = 150000;
+  constexpr int kOps = 600000;
   meter->Start();
   std::vector<std::thread> workers;
   long long counter = 0;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      // Report this thread's activity to the model meter: context t runs
-      // lock-protected work.
-      registry->SetState(t, ActivityState::kCritical);
+    workers.emplace_back([&] {
       for (int i = 0; i < kOps; ++i) {
         lock.lock();
         counter = counter + 1;
         lock.unlock();
       }
-      registry->SetState(t, ActivityState::kInactive);
     });
   }
   for (std::thread& worker : workers) {
@@ -56,9 +53,7 @@ int main() {
   std::printf("host topology: %s\n", host.ToString().c_str());
   std::printf("RAPL available: %s\n\n", RaplMeter::Available() ? "yes" : "no (using model)");
 
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-  std::unique_ptr<EnergyMeter> meter = MakeDefaultMeter(registry);
+  std::unique_ptr<EnergyMeter> meter = MakeDefaultMeter();
 
   std::printf("%-22s %10s %10s %10s %12s\n", "configuration", "seconds", "joules", "watts",
               "TPP(ops/J)");
@@ -66,7 +61,7 @@ int main() {
   {
     FutexLock mutex;  // sleeping waiters
     std::uint64_t ops = 0;
-    const EnergySample sample = MeasureCounter(mutex, registry.get(), meter.get(), &ops);
+    const EnergySample sample = MeasureCounter(mutex, meter.get(), &ops);
     std::printf("%-22s %10.3f %10.2f %10.1f %12.0f\n", "mutex (sleeping)", sample.seconds,
                 sample.total_joules(), sample.average_watts(),
                 sample.Tpp(static_cast<double>(ops)));
@@ -76,7 +71,7 @@ int main() {
     config.yield_after = 256;  // stay live on small hosts
     TtasLock spin(config);     // busy-waiting waiters
     std::uint64_t ops = 0;
-    const EnergySample sample = MeasureCounter(spin, registry.get(), meter.get(), &ops);
+    const EnergySample sample = MeasureCounter(spin, meter.get(), &ops);
     std::printf("%-22s %10.3f %10.2f %10.1f %12.0f\n", "spinlock (busy-wait)", sample.seconds,
                 sample.total_joules(), sample.average_watts(),
                 sample.Tpp(static_cast<double>(ops)));

@@ -14,6 +14,7 @@
 //   --thread-sweep L  with --json, emits the whole scaling-curve set as ONE
 //                     JSON document ({"thread_sweep": ..., "curves": [...]})
 //   --trace FILE      loads in ui.perfetto.dev; one scenario x lock only
+//   --sample-ms N     needs --trace and a meter (not --meter off)
 //   --failpoints SPEC grammar in src/platform/failpoint.hpp, e.g.
 //                     futex/wait=p0.01
 //
@@ -87,10 +88,10 @@ void RegisterFlags(FlagParser& flags, RunnerOptions& options, ScenarioConfig& co
   flags.String("--trace", &options.trace_path, "FILE", "write a Chrome trace-event JSON");
   flags.Bool("--metrics", &options.metrics, "print the MetricsRegistry JSON after the runs");
   flags.Bool("--lockdep", &config.lockdep, "arm the lock-order detector (exit 1 on a report)");
-  flags.Choice("--meter", &options.meter, {"auto", "model", "off"},
-               "energy meter (auto: RAPL else model)");
+  flags.Choice("--meter", &options.meter, {"auto", "off"},
+               "energy meter (auto: RAPL else the CPU-time model)");
   flags.Int<std::uint32_t>("--sample-ms", &config.energy_sample_ms, 1, 60000,
-                           "sample the meter every N ms");
+                           "sample watts into the trace every N ms");
   flags.String("--failpoints", &options.failpoints, "SPEC", "arm named failpoints");
   flags.Bool("--chaos", &options.chaos, "arm the default chaos profile");
   flags.Int<std::uint64_t>("--deadline-us", &options.deadline_us, 1, 1000000000,
@@ -259,9 +260,10 @@ int main(int argc, char** argv) {
                "needs exclusive shard ownership)");
   }
   config.trace = !options.trace_path.empty();
-  config.meter = options.meter == "off"     ? MeterChoice::kOff
-                 : options.meter == "model" ? MeterChoice::kModel
-                                            : MeterChoice::kAuto;
+  config.meter = options.meter == "off" ? MeterChoice::kOff : MeterChoice::kAuto;
+  if (config.energy_sample_ms > 0 && (!config.trace || config.meter == MeterChoice::kOff)) {
+    flags.Fail("--sample-ms writes a watts track into the trace; it needs --trace and a meter");
+  }
 
   if (options.chaos && !options.failpoints.empty()) {
     flags.Fail("--chaos and --failpoints are mutually exclusive");

@@ -17,7 +17,7 @@ AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePo
       mutexee_(config_.mutexee),
       current_(config_.initial),
       held_(config_.initial),
-      stats_(config_.energy, config_.stats_ewma_alpha) {
+      stats_(config_.stats_ewma_alpha) {
   if (config_.epoch_acquires == 0) {
     config_.epoch_acquires = 1;
   }
@@ -119,10 +119,8 @@ bool AdaptiveLock::try_lock() {
 }
 
 void AdaptiveLock::OwnerEpochMaintenance() {
-  const std::uint64_t now = ReadCycles();
   const std::uint64_t sleep_calls = BackendSleepCalls();
-  const LockSiteSnapshot snapshot =
-      stats_.EndEpoch(now, sleep_calls - last_sleep_calls_);
+  const LockSiteSnapshot snapshot = stats_.EndEpoch(sleep_calls - last_sleep_calls_);
   last_sleep_calls_ = sleep_calls;
   epochs_.fetch_add(1, std::memory_order_relaxed);
 

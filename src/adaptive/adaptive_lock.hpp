@@ -58,7 +58,6 @@ struct AdaptiveLockConfig {
   FutexLockConfig sleep;    // futex-mutex backend
   MutexeeConfig mutexee;    // MUTEXEE backend; budgets are retuned online
 
-  AdaptiveEnergyParams energy = AdaptiveEnergyParams{};
   double stats_ewma_alpha = 0.2;
 };
 

@@ -2,8 +2,8 @@
 //
 // The paper uses Intel RAPL counters to measure package and DRAM energy
 // (section 2). On hosts with RAPL we read the same counters via powercap
-// sysfs (RaplMeter); elsewhere a calibrated model integrates power over
-// observed thread activity (ModelMeter). Benchmarks program against this
+// sysfs (RaplMeter); elsewhere a calibrated model charges the process's
+// measured CPU time (ModelMeter). Benchmarks program against this
 // interface and never care which backend is live.
 #ifndef SRC_ENERGY_ENERGY_METER_HPP_
 #define SRC_ENERGY_ENERGY_METER_HPP_

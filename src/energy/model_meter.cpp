@@ -1,63 +1,62 @@
 #include "src/energy/model_meter.hpp"
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/energy/rapl_meter.hpp"
 
 namespace lockin {
+namespace {
 
-ActivityRegistry::ActivityRegistry(PowerModel model)
-    : model_(std::move(model)),
-      states_(model_.topology().total_contexts(), ActivityState::kInactive),
-      last_transition_(std::chrono::steady_clock::now()) {}
-
-void ActivityRegistry::AccumulateLocked(std::chrono::steady_clock::time_point now) {
-  const double dt =
-      std::chrono::duration_cast<std::chrono::duration<double>>(now - last_transition_).count();
-  if (dt > 0) {
-    const PowerModel::Breakdown watts = model_.ComponentWatts(states_, {});
-    totals_.package_joules += watts.package_w * dt;
-    totals_.dram_joules += watts.dram_w * dt;
-    totals_.seconds += dt;
-  }
-  last_transition_ = now;
+PowerModel::Breakdown PerContextWatts(const PowerModel& model, ActivityState state) {
+  const int n = model.topology().total_contexts();
+  PowerModel::Breakdown watts =
+      model.ComponentWatts(std::vector<ActivityState>(static_cast<std::size_t>(n), state), {});
+  watts.package_w /= n;
+  watts.cores_w /= n;
+  watts.dram_w /= n;
+  return watts;
 }
 
-void ActivityRegistry::SetState(int ctx, ActivityState state) {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  if (ctx >= 0 && ctx < static_cast<int>(states_.size())) {
-    states_[ctx] = state;
-  }
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-ActivityRegistry::Totals ActivityRegistry::Snapshot() {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  return totals_;
-}
+}  // namespace
 
-void ActivityRegistry::ResetEnergy() {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  totals_ = Totals{};
-}
+ModelMeter::ModelMeter(const PowerModel& model)
+    : busy_per_context_(PerContextWatts(model, ActivityState::kWorking)),
+      idle_per_context_(PerContextWatts(model, ActivityState::kInactive)),
+      contexts_(model.topology().total_contexts()),
+      start_wall_(std::chrono::steady_clock::now()) {}
 
-ModelMeter::ModelMeter(std::shared_ptr<ActivityRegistry> registry)
-    : registry_(std::move(registry)) {}
-
-void ModelMeter::Start() { start_ = registry_->Snapshot(); }
-
-EnergySample ModelMeter::Stop() {
-  const ActivityRegistry::Totals end = registry_->Snapshot();
+EnergySample ModelMeter::Energy(double cpu_s, double wall_s) const {
+  const double idle_s = std::max(0.0, contexts_ * wall_s - cpu_s);
   EnergySample sample;
-  sample.package_joules = end.package_joules - start_.package_joules;
-  sample.dram_joules = end.dram_joules - start_.dram_joules;
-  sample.seconds = end.seconds - start_.seconds;
+  sample.package_joules =
+      cpu_s * busy_per_context_.package_w + idle_s * idle_per_context_.package_w;
+  sample.dram_joules = cpu_s * busy_per_context_.dram_w + idle_s * idle_per_context_.dram_w;
+  sample.seconds = wall_s;
   return sample;
 }
 
-std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> registry) {
+void ModelMeter::Start() {
+  start_cpu_s_ = ProcessCpuSeconds();
+  start_wall_ = std::chrono::steady_clock::now();
+}
+
+EnergySample ModelMeter::Stop() {
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_wall_).count();
+  return Energy(ProcessCpuSeconds() - start_cpu_s_, wall_s);
+}
+
+std::unique_ptr<EnergyMeter> MakeDefaultMeter() {
   if (RaplMeter::Available()) {
     return std::make_unique<RaplMeter>();
   }
@@ -74,10 +73,8 @@ std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> 
     return true;
   }();
   (void)logged;
-  if (registry != nullptr) {
-    return std::make_unique<ModelMeter>(std::move(registry));
-  }
-  return nullptr;
+  return std::make_unique<ModelMeter>(
+      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
 }
 
 }  // namespace lockin

@@ -1,95 +1,49 @@
 // Model-based energy meter.
 //
-// Substitutes for RAPL on hosts without it (see DESIGN.md section 2).
-// Threads report their activity transitions to an ActivityRegistry; the
-// meter integrates the calibrated PowerModel over the piecewise-constant
-// machine state. Integration is exact (event-driven, not sampled): energy
-// is accumulated at every state transition, so short events like futex
-// sleep/wake flurries are captured.
+// Substitutes for RAPL on hosts without it. Joules come from the process's
+// measured CPU time: a busy context-second costs one context's share of
+// the PowerModel's machine power with every context working, an idle
+// context-second its share of the machine's idle power. A waiter that
+// sleeps in the kernel frees its context and costs idle power; a spinning
+// waiter keeps it busy. That difference is what the paper measures, and a
+// meter blind to CPU time could not see it.
 #ifndef SRC_ENERGY_MODEL_METER_HPP_
 #define SRC_ENERGY_MODEL_METER_HPP_
 
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "src/energy/energy_meter.hpp"
 #include "src/energy/power_model.hpp"
 
 namespace lockin {
 
-// Tracks which activity state each hardware context is in and integrates
-// package/DRAM energy over time. Thread-safe; transitions take a mutex
-// (acceptable for benchmarking since transitions are orders of magnitude
-// rarer than lock operations).
-class ActivityRegistry {
- public:
-  explicit ActivityRegistry(PowerModel model);
-
-  // Declares that context `ctx` (index into the pinning order) entered
-  // `state`. Integrates energy for the elapsed interval first.
-  void SetState(int ctx, ActivityState state);
-
-  // Integrated energy since construction or the last ResetEnergy().
-  struct Totals {
-    double package_joules = 0.0;
-    double dram_joules = 0.0;
-    double seconds = 0.0;
-  };
-  Totals Snapshot();
-
-  void ResetEnergy();
-
-  const PowerModel& model() const { return model_; }
-
- private:
-  void AccumulateLocked(std::chrono::steady_clock::time_point now);
-
-  PowerModel model_;
-  std::mutex mu_;
-  std::vector<ActivityState> states_;
-  std::chrono::steady_clock::time_point last_transition_;
-  Totals totals_;
-};
-
-// EnergyMeter facade over an ActivityRegistry.
 class ModelMeter : public EnergyMeter {
  public:
-  explicit ModelMeter(std::shared_ptr<ActivityRegistry> registry);
+  explicit ModelMeter(const PowerModel& model);
 
+  // Stop() is a non-destructive read of the energy since Start(), so a
+  // sampler may call it repeatedly.
   void Start() override;
   EnergySample Stop() override;
   std::string Name() const override { return "model"; }
 
- private:
-  std::shared_ptr<ActivityRegistry> registry_;
-  ActivityRegistry::Totals start_;
-};
-
-// RAII helper: sets a context's activity on construction and restores the
-// previous scope's state on destruction.
-class ScopedActivity {
- public:
-  ScopedActivity(ActivityRegistry* registry, int ctx, ActivityState state,
-                 ActivityState restore_to)
-      : registry_(registry), ctx_(ctx), restore_(restore_to) {
-    registry_->SetState(ctx_, state);
-  }
-  ~ScopedActivity() { registry_->SetState(ctx_, restore_); }
-
-  ScopedActivity(const ScopedActivity&) = delete;
-  ScopedActivity& operator=(const ScopedActivity&) = delete;
+  // The model's energy for `cpu_s` CPU seconds spent over `wall_s` on
+  // every context: busy W/context x cpu_s + idle W/context x
+  // max(0, contexts x wall_s - cpu_s).
+  EnergySample Energy(double cpu_s, double wall_s) const;
 
  private:
-  ActivityRegistry* registry_;
-  int ctx_;
-  ActivityState restore_;
+  PowerModel::Breakdown busy_per_context_;
+  PowerModel::Breakdown idle_per_context_;
+  int contexts_;
+  double start_cpu_s_ = 0;
+  std::chrono::steady_clock::time_point start_wall_;
 };
 
-// Picks the best available meter: RAPL when readable, the model otherwise.
-// `registry` may be null when the caller knows RAPL is available.
-std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> registry);
+// Picks the best available meter: RAPL when readable, the model of the
+// detected topology with the paper's calibration otherwise.
+std::unique_ptr<EnergyMeter> MakeDefaultMeter();
 
 }  // namespace lockin
 

@@ -16,35 +16,23 @@ EnergySampler::EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, Trac
 
 void EnergySampler::Sample() {
   const EnergySample cumulative = meter_->Stop();
-  EnergyPoint point;
-  point.seconds = cumulative.seconds;
-  point.joules = cumulative.total_joules();
-  const double dt = point.seconds - last_seconds_;
-  point.watts = dt > 0 ? (point.joules - last_joules_) / dt : 0;
-  last_seconds_ = point.seconds;
-  last_joules_ = point.joules;
-  if (sink_ != nullptr) {
-    sink_->Push(ReadCycles(), TraceEventKind::kWattsSample,
-                static_cast<std::uint32_t>(point.watts * 1000.0));
-  }
-  series_.push_back(point);
+  const double dt = cumulative.seconds - last_seconds_;
+  const double watts = dt > 0 ? (cumulative.total_joules() - last_joules_) / dt : 0;
+  last_seconds_ = cumulative.seconds;
+  last_joules_ = cumulative.total_joules();
+  sink_->Push(ReadCycles(), TraceEventKind::kWattsSample,
+              static_cast<std::uint32_t>(watts * 1000.0));
 }
 
-std::vector<EnergyPoint> EnergySampler::Finish() {
+void EnergySampler::Finish() {
   if (!finished_) {
     stop_.store(true, std::memory_order_release);
     thread_.join();
     Sample();  // final point covers the tail of the run
     finished_ = true;
   }
-  return series_;
 }
 
-EnergySampler::~EnergySampler() {
-  if (!finished_) {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-  }
-}
+EnergySampler::~EnergySampler() { Finish(); }
 
 }  // namespace lockin

@@ -1,8 +1,7 @@
-// Periodic energy sampler: a background thread that snapshots an
-// EnergyMeter (RAPL where permitted, the calibrated model elsewhere) into a
-// time series while a workload runs, and optionally emits watts counter
-// events into a trace buffer so Perfetto shows a power track alongside the
-// lock/futex slices.
+// Periodic energy sampler: a background thread that reads an EnergyMeter
+// (RAPL where permitted, the CPU-time model elsewhere) while a workload
+// runs and emits the average watts of each interval into a trace buffer,
+// so Perfetto shows a power track alongside the lock/futex slices.
 //
 // The sampler relies on this repo's meter contract: Stop() is a
 // non-destructive read of "energy since Start()" (both RaplMeter and
@@ -15,34 +14,26 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "src/energy/energy_meter.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lockin {
 
-// One point of the sampled series (cumulative since meter Start()).
-struct EnergyPoint {
-  double seconds = 0;
-  double joules = 0;
-  double watts = 0;  // average watts over the window since the last point
-};
-
 class EnergySampler {
  public:
-  // Samples `meter` every `interval_ms`. `sink` may be null; when set, each
-  // sample also lands there as a kWattsSample event (arg = milliwatts).
-  // The meter must already be Start()ed and must outlive the sampler.
-  EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, TraceBuffer* sink = nullptr);
+  // Samples `meter` every `interval_ms`; each sample lands in `sink` as a
+  // kWattsSample event (arg = milliwatts). The meter must already be
+  // Start()ed, and it and the sink must outlive the sampler.
+  EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, TraceBuffer* sink);
   ~EnergySampler();
 
   EnergySampler(const EnergySampler&) = delete;
   EnergySampler& operator=(const EnergySampler&) = delete;
 
-  // Stops the thread and returns the collected series (one final sample is
-  // taken on the way out, so even sub-interval runs get a point).
-  std::vector<EnergyPoint> Finish();
+  // Stops the thread and takes one final sample, so even sub-interval
+  // runs get a point. Idempotent.
+  void Finish();
 
  private:
   void Sample();
@@ -54,7 +45,6 @@ class EnergySampler {
   bool finished_ = false;
   double last_seconds_ = 0;
   double last_joules_ = 0;
-  std::vector<EnergyPoint> series_;
   std::thread thread_;
 };
 

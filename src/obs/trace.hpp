@@ -73,7 +73,7 @@ static_assert(sizeof(TraceEvent) == 16, "trace events are fixed 16-byte records"
 // concurrently (the SPSC protocol makes a live drain safe).
 class TraceBuffer {
  public:
-  static constexpr std::uint32_t kDefaultCapacity = 1u << 14;  // 256 KiB/thread
+  static constexpr std::uint32_t kDefaultCapacity = 1u << 16;  // 1 MiB/thread
 
   // `capacity` is rounded up to a power of two; `tid` labels every event
   // emitted through this buffer.

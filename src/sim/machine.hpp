@@ -10,8 +10,9 @@
 //
 // Energy: each context carries an ActivityState; the PowerModel is
 // integrated over the piecewise-constant machine state, exactly like RAPL
-// integrates real power. This is the simulated counterpart of
-// ActivityRegistry (src/energy/model_meter.hpp).
+// integrates real power. Native runs have no per-context states to
+// integrate; their ModelMeter (src/energy/model_meter.hpp) charges the
+// measured CPU time instead.
 #ifndef SRC_SIM_MACHINE_HPP_
 #define SRC_SIM_MACHINE_HPP_
 

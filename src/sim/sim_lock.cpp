@@ -439,9 +439,7 @@ SimAdaptiveLock::SimAdaptiveLock(SimMachine* machine, SimAdaptiveConfig config,
                                  const SimLockOptions& inner_options)
     : SimLock(machine),
       config_(std::move(config)),
-      policy_(std::make_unique<EwmaThresholdPolicy>(config_.policy)),
-      profile_(AdaptiveEnergyParams::FromPowerParams(
-          config_.power, machine->params().cycles_per_second)) {
+      policy_(std::make_unique<EwmaThresholdPolicy>(config_.policy)) {
   inner_[static_cast<int>(AdaptiveBackend::kSpin)] =
       MakeSimLock("TTAS", machine, inner_options);
   inner_[static_cast<int>(AdaptiveBackend::kSleep)] =
@@ -487,9 +485,9 @@ void SimAdaptiveLock::Acquire(int tid, SimCallback on_acquired) {
   IssueAcquire(current_, tid, std::move(on_acquired), requested_at);
 }
 
-void SimAdaptiveLock::EpochMaintenance(SimTime now) {
+void SimAdaptiveLock::EpochMaintenance() {
   const std::uint64_t sleeps = InnerSleepCalls();
-  const LockSiteSnapshot snapshot = profile_.EndEpoch(now, sleeps - last_sleep_calls_);
+  const LockSiteSnapshot snapshot = profile_.EndEpoch(sleeps - last_sleep_calls_);
   last_sleep_calls_ = sleeps;
   ++epochs_;
   if (switching_) {
@@ -515,7 +513,7 @@ void SimAdaptiveLock::Release(int tid, SimCallback on_released) {
   const SimTime now = machine_->engine().now();
   profile_.RecordAcquire(pending_wait_cycles_, now - holder_granted_at_);
   if (profile_.epoch_acquires() >= config_.epoch_acquires) {
-    EpochMaintenance(now);
+    EpochMaintenance();
   }
   // Every in-flight acquisition targets the same backend (a switch only
   // completes after they drain), so the holder releases the active one.
@@ -594,7 +592,6 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     SimAdaptiveConfig config;
     config.policy = options.adaptive_policy;
     config.epoch_acquires = options.adaptive_epoch_acquires;
-    config.power = options.power;
     return std::make_unique<SimAdaptiveLock>(machine, config, options);
   }
   if (name == "MUTEX") {

@@ -223,10 +223,6 @@ struct SimAdaptiveConfig {
   PolicyConfig policy;              // shared native policy engine
   std::uint64_t epoch_acquires = 128;
   std::string name = "ADAPTIVE";
-  // Power calibration for the profiler's energy-per-acquire estimate; must
-  // match the machine the workload charges Joules with (WorkloadEnv::power)
-  // or the estimate describes the wrong platform.
-  PowerParams power = PowerParams::PaperXeon();
 };
 
 class SimAdaptiveLock final : public SimLock {
@@ -257,7 +253,7 @@ class SimAdaptiveLock final : public SimLock {
   void IssueAcquire(AdaptiveBackend b, int tid, SimCallback on_acquired,
                     SimTime requested_at);
   void OnInnerAcquired(int tid, SimTime requested_at);
-  void EpochMaintenance(SimTime now);
+  void EpochMaintenance();
   void MaybeFinishSwitch();
   std::uint64_t InnerSleepCalls() const;
 
@@ -294,11 +290,9 @@ struct SimLockOptions {
   MutexeeConfig mutexee;            // budgets / timeout for MUTEXEE variants
   std::uint64_t mutex_spin_cycles = 300;
   std::uint64_t rng_seed = 42;
-  // ADAPTIVE runtime knobs. `power` must mirror the WorkloadEnv's power
-  // params (RunLockWorkload's setup copies it over).
+  // ADAPTIVE runtime knobs.
   PolicyConfig adaptive_policy;
   std::uint64_t adaptive_epoch_acquires = 128;
-  PowerParams power = PowerParams::PaperXeon();
 };
 
 // The names MakeSimLock models.

@@ -87,9 +87,6 @@ void SetupDriver(Driver& driver, const std::string& lock_name, const WorkloadCon
   for (int i = 0; i < config.locks; ++i) {
     SimLockOptions options = env.lock_options;
     options.rng_seed = config.seed * 7919 + static_cast<std::uint64_t>(i);
-    // The adaptive profiler must estimate energy with the same calibration
-    // the machine charges Joules with.
-    options.power = env.power;
     std::unique_ptr<SimLock> lock = MakeSimLock(lock_name, driver.machine.get(), options);
     if (lock == nullptr) {
       std::string message = "unknown simulated lock: " + lock_name + " (simulated:";

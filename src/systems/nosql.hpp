@@ -63,9 +63,6 @@ class HashDb final : public NosqlDb {
  public:
   explicit HashDb(const LockFactory& make_lock, ShardOptions options = ShardOptions{8, false, false})
       : shards_(make_lock, options) {}
-  // Legacy region-count constructor (pre-ShardCombine callers).
-  HashDb(const LockFactory& make_lock, std::size_t regions)
-      : HashDb(make_lock, ShardOptions{regions, false, false}) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;

@@ -11,14 +11,12 @@
 
 #include "src/analysis/lockdep.hpp"
 #include "src/energy/model_meter.hpp"
-#include "src/energy/power_model.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/platform/cacheline.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/platform/spin_hint.hpp"
-#include "src/platform/topology.hpp"
 #include "src/systems/scenarios/scenario_defs.hpp"
 
 namespace lockin {
@@ -250,15 +248,11 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   ScopedFailpoints failpoint_scope(config.failpoints, config.seed);
 
   // LockScope: energy meter for the run phase. kAuto follows the fallback
-  // chain (RAPL when readable, else the model integrating this run's worker
-  // contexts); the result carries joules/TPP as dedicated fields.
-  std::shared_ptr<ActivityRegistry> activity;
+  // chain (RAPL when readable, else the model over the process's CPU
+  // time); the result carries joules/TPP as dedicated fields.
   std::unique_ptr<EnergyMeter> meter;
-  if (config.meter != MeterChoice::kOff) {
-    activity = std::make_shared<ActivityRegistry>(
-        PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-    meter = config.meter == MeterChoice::kModel ? std::make_unique<ModelMeter>(activity)
-                                                : MakeDefaultMeter(activity);
+  if (config.meter == MeterChoice::kAuto) {
+    meter = MakeDefaultMeter();
   }
 
   // LockScope: trace rings. tids 0..threads-1 are the workers; the driver
@@ -312,24 +306,15 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     });
   }
 
-  // The model meter integrates "worker contexts busy" between Start() and
-  // Stop(); RAPL ignores the registry. States are restored after the join.
-  if (activity != nullptr) {
-    for (int t = 0; t < config.threads; ++t) {
-      activity->SetState(t, ActivityState::kCritical);
-    }
-  }
   if (meter != nullptr) {
     meter->Start();
   }
   std::unique_ptr<EnergySampler> sampler;
-  if (meter != nullptr && config.energy_sample_ms > 0) {
-    TraceBuffer* sampler_sink = nullptr;
-    if (config.trace) {
-      sampler_sink = TraceSession::Instance().NewBuffer(
-          static_cast<std::uint16_t>(config.threads + 1), config.trace_buffer_events);
-    }
-    sampler = std::make_unique<EnergySampler>(meter.get(), config.energy_sample_ms, sampler_sink);
+  if (meter != nullptr && config.trace && config.energy_sample_ms > 0) {
+    sampler = std::make_unique<EnergySampler>(
+        meter.get(), config.energy_sample_ms,
+        TraceSession::Instance().NewBuffer(static_cast<std::uint16_t>(config.threads + 1),
+                                           config.trace_buffer_events));
   }
 
   // FailSafe: watchdog thread. Polls every worker's attempt counter; a
@@ -439,16 +424,11 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
 
   ScenarioResult result;
   if (sampler != nullptr) {
-    result.energy_series = sampler->Finish();
+    sampler->Finish();
   }
   if (meter != nullptr) {
     result.energy = meter->Stop();
     result.meter_name = meter->Name();
-  }
-  if (activity != nullptr) {
-    for (int t = 0; t < config.threads; ++t) {
-      activity->SetState(t, ActivityState::kInactive);
-    }
   }
   result.scenario = scenario_name;
   result.lock_name = config.lock_name;

@@ -34,7 +34,6 @@
 
 #include "src/energy/energy_meter.hpp"
 #include "src/locks/lock_api.hpp"
-#include "src/obs/sampler.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/rng.hpp"
 #include "src/stats/histogram.hpp"
@@ -44,9 +43,8 @@ namespace lockin {
 
 // Which energy meter the scenario driver attaches to a run.
 enum class MeterChoice {
-  kAuto,   // RAPL when readable, the calibrated model otherwise (default)
-  kModel,  // force the model meter (deterministic availability, e.g. tests)
-  kOff,    // no meter; result.energy stays zero
+  kAuto,  // RAPL when readable, the CPU-time model otherwise (default)
+  kOff,   // no meter; result.energy stays zero
 };
 
 // --- FailSafe: per-op deadlines on the handle tier ---------------------------
@@ -122,12 +120,12 @@ struct ScenarioConfig {
   // the wrappers' events but not the per-thread rings.
   bool lockdep = false;
   // Energy accounting for the run phase. kAuto follows the meter fallback
-  // chain (RAPL -> model); the model integrates the run's worker contexts
-  // as active. result.energy/Tpp() report the outcome.
+  // chain (RAPL -> model); the model charges the process's CPU time over
+  // the run as busy contexts and the rest of the machine as idle.
+  // result.energy/Tpp() report the outcome.
   MeterChoice meter = MeterChoice::kAuto;
-  // When > 0, a background sampler thread snapshots the meter every
-  // energy_sample_ms into result.energy_series (and, when tracing, a
-  // Perfetto counter track of watts).
+  // When > 0 on a traced, metered run, a background sampler thread reads
+  // the meter every energy_sample_ms into a Perfetto counter track of watts.
   std::uint32_t energy_sample_ms = 0;
 
   // --- FailSafe robustness --------------------------------------------------
@@ -213,8 +211,7 @@ struct ScenarioResult {
   // deterministic, seed-stable part of the result, and energy is wall-clock
   // dependent by nature.
   EnergySample energy;
-  std::string meter_name;                  // "rapl", "model", "" when off
-  std::vector<EnergyPoint> energy_series;  // non-empty when energy_sample_ms > 0
+  std::string meter_name;  // "rapl", "model", "" when off
 
   double MopsPerS() const { return ops_per_s / 1e6; }
   // Throughput-per-power (ops/Joule), the paper's efficiency metric; 0

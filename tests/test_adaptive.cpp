@@ -28,8 +28,6 @@ LockSiteSnapshot SnapshotWithWait(double wait_cycles, double sleep_ratio = 0.0) 
   snap.avg_wait_cycles = wait_cycles;
   snap.avg_hold_cycles = 500;
   snap.sleep_ratio = sleep_ratio;
-  snap.energy_per_acquire_joules =
-      EstimateEnergyPerAcquire(wait_cycles, 500, sleep_ratio, AdaptiveEnergyParams{});
   return snap;
 }
 
@@ -135,40 +133,21 @@ TEST(MutexeeRetuneTest, LiveLockAcceptsRetunedBudgets) {
 // --- Profiler ---------------------------------------------------------------
 
 TEST(LockSiteStatsTest, EpochDigestAggregatesAcquisitions) {
-  AdaptiveEnergyParams energy;
-  energy.cycles_per_second = 1e9;
-  LockSiteStats stats(energy, /*ewma_alpha=*/1.0, /*contended_threshold_cycles=*/1000);
+  LockSiteStats stats(/*ewma_alpha=*/1.0, /*contended_threshold_cycles=*/1000);
 
-  stats.EndEpoch(0, 0);  // open the rate window
   stats.RecordAcquire(500, 2000);    // uncontended
   stats.RecordAcquire(5000, 2000);   // contended
   stats.RecordAcquire(5000, 2000);   // contended
   EXPECT_EQ(stats.epoch_acquires(), 3u);
 
-  const LockSiteSnapshot snap = stats.EndEpoch(3000000, /*epoch_sleep_calls=*/1);
+  const LockSiteSnapshot snap = stats.EndEpoch(/*epoch_sleep_calls=*/1);
   EXPECT_EQ(snap.acquires, 3u);
   EXPECT_DOUBLE_EQ(snap.avg_wait_cycles, 5000.0);  // alpha=1: last sample
   EXPECT_NEAR(snap.contended_ratio, 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(snap.sleep_ratio, 1.0 / 3.0, 1e-9);
-  EXPECT_NEAR(snap.acquires_per_second, 3.0 / 0.003, 1.0);
-  EXPECT_GT(snap.energy_per_acquire_joules, 0.0);
   // The epoch counters reset; the EWMAs persist.
   EXPECT_EQ(stats.epoch_acquires(), 0u);
   EXPECT_EQ(stats.total_acquires(), 3u);
-}
-
-TEST(LockSiteStatsTest, EnergyEstimateOrdersTheRegimesLikeThePaper) {
-  const AdaptiveEnergyParams params;
-  // Spinning through a long wait costs more than sleeping through it
-  // (Figure 3: busy-waiting power dwarfs the futex transition cost)...
-  const double long_wait = 500000;
-  EXPECT_GT(EstimateEnergyPerAcquire(long_wait, 1000, 0.0, params),
-            EstimateEnergyPerAcquire(long_wait, 1000, 1.0, params));
-  // ...while for a short wait the futex round trip dominates (Figure 6:
-  // sleeping for waits cheaper than the sleep itself wastes energy).
-  const double short_wait = 1000;
-  EXPECT_LT(EstimateEnergyPerAcquire(short_wait, 1000, 0.0, params),
-            EstimateEnergyPerAcquire(short_wait, 1000, 1.0, params));
 }
 
 // --- Adaptive lock ----------------------------------------------------------

@@ -172,34 +172,19 @@ TEST(EnergySample, TppAndEpo) {
   EXPECT_NEAR(sample.Tpp(1000), 1.0 / sample.Epo(1000), 1e-9);
 }
 
-TEST(ActivityRegistryTest, IntegratesEnergyOverTime) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::PaperCoreI7(), PowerParams::PaperXeon()));
-  ModelMeter meter(registry);
-  meter.Start();
-  registry->SetState(0, ActivityState::kWorking);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  registry->SetState(0, ActivityState::kInactive);
-  const EnergySample sample = meter.Stop();
-  EXPECT_GT(sample.seconds, 0.02);
-  EXPECT_GT(sample.total_joules(), 0.0);
-  // Average power must be at least idle and include the active core.
-  EXPECT_GT(sample.average_watts(), 55.0);
-}
+PowerModel QuadModel() { return PowerModel(Topology(1, 4, 1), PowerParams::PaperXeon()); }
 
-TEST(ActivityRegistryTest, ScopedActivityRestores) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::PaperCoreI7(), PowerParams::PaperXeon()));
-  {
-    ScopedActivity scope(registry.get(), 0, ActivityState::kSpinMbar,
-                         ActivityState::kWorking);
-  }
-  // After the scope, context 0 is kWorking: power above idle.
-  ModelMeter meter(registry);
-  meter.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const EnergySample sample = meter.Stop();
-  EXPECT_GT(sample.average_watts(), 55.5);
+TEST(ModelMeterTest, ChargesBusyAndIdleContextSecondsLikeTheBenchmark) {
+  // The lockbench EnergyModel pins the same case: 3 CPU-s over 2 s on 4
+  // contexts is 3 busy context-s at 22.7 W plus 5 idle ones at 13.875 W.
+  const ModelMeter meter(QuadModel());
+  const EnergySample sample = meter.Energy(/*cpu_s=*/3, /*wall_s=*/2);
+  EXPECT_DOUBLE_EQ(sample.total_joules(), 137.475);
+  EXPECT_DOUBLE_EQ(sample.seconds, 2.0);
+  // An idle second is the machine's idle power; CPU time beyond every
+  // context's wall time leaves no idle context-seconds.
+  EXPECT_DOUBLE_EQ(meter.Energy(0, 1).total_joules(), QuadModel().IdleWatts());
+  EXPECT_DOUBLE_EQ(meter.Energy(10, 1).total_joules(), 10 * 22.7);
 }
 
 TEST(RaplMeterTest, AvailabilityProbeDoesNotCrash) {
@@ -215,9 +200,7 @@ TEST(RaplMeterTest, AvailabilityProbeDoesNotCrash) {
 }
 
 TEST(MakeDefaultMeterTest, FallsBackToModel) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::PaperCoreI7(), PowerParams::PaperXeon()));
-  auto meter = MakeDefaultMeter(registry);
+  auto meter = MakeDefaultMeter();
   ASSERT_NE(meter, nullptr);
   // Either backend is acceptable; it must produce a sane sample.
   meter->Start();

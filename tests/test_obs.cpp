@@ -1,8 +1,8 @@
 // LockScope observability tests: trace-ring overflow semantics, SPSC
 // liveness, exporter JSON strictness (round-tripped through a strict RFC
 // 8259 parser written below -- no external JSON dependency), metrics
-// snapshot consistency under concurrent increments, the energy sampler,
-// and TPP surfacing in scenario results via the model meter.
+// snapshot consistency under concurrent increments, the energy sampler's
+// watts track, and TPP surfacing in scenario results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -448,48 +448,77 @@ TEST(MetricsTest, WriteJsonIsStrictAndEscapes) {
 
 // --- Energy sampler + TPP ----------------------------------------------------
 
-std::shared_ptr<ActivityRegistry> TestRegistry() {
-  return std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-}
-
-TEST(EnergySamplerTest, CollectsMonotonicSeriesFromModelMeter) {
-  auto registry = TestRegistry();
-  ModelMeter meter(registry);
-  registry->SetState(0, ActivityState::kCritical);
+TEST(EnergySamplerTest, EmitsWattsTrackFromModelMeter) {
+  ModelMeter meter(PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
   meter.Start();
   TraceBuffer ring(/*capacity=*/256, /*tid=*/9);
-  std::vector<EnergyPoint> series;
   {
     EnergySampler sampler(&meter, /*interval_ms=*/1, &ring);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    series = sampler.Finish();
+    sampler.Finish();
   }
-  registry->SetState(0, ActivityState::kInactive);
-  ASSERT_GE(series.size(), 2u);  // several interval samples plus the final one
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GE(series[i].joules, series[i - 1].joules);  // cumulative, nondecreasing
-    EXPECT_GE(series[i].seconds, series[i - 1].seconds);
+  std::vector<TraceEvent> events;
+  ring.Drain(&events);
+  ASSERT_GE(events.size(), 2u);  // several interval samples plus the final one
+  for (const TraceEvent& event : events) {
+    EXPECT_EQ(event.kind, static_cast<std::uint16_t>(TraceEventKind::kWattsSample));
+    EXPECT_EQ(event.tid, 9);
   }
-  EXPECT_GT(series.back().joules, 0.0);
-  EXPECT_GT(ring.size(), 0u);  // watts landed on the trace counter track
+  EXPECT_GT(events.back().arg, 0u);  // at least idle power, in milliwatts
 }
 
-TEST(ScenarioEnergyTest, ModelMeteredRunReportsTpp) {
+TEST(ScenarioEnergyTest, MeteredRunReportsTpp) {
   ScenarioConfig config;
   config.lock_name = "MUTEX";
   config.threads = 2;
   config.ops_per_thread = 2000;
-  config.meter = MeterChoice::kModel;
   for (const char* name : {"kvstore/WT", "lock/counter"}) {
     const ScenarioResult result = RunScenarioByName(name, config);
-    EXPECT_EQ(result.meter_name, "model") << name;
+    EXPECT_FALSE(result.meter_name.empty()) << name;
     EXPECT_GT(result.energy.total_joules(), 0.0) << name;
     EXPECT_GT(result.energy.seconds, 0.0) << name;
     EXPECT_GT(result.Tpp(), 0.0) << name;
     EXPECT_GT(result.AvgWatts(), 0.0) << name;
     EXPECT_EQ(result.total_ops, 2u * 2000u) << name;
   }
+}
+
+// An op that waits by sleeping or by spinning for the same time. The
+// paper's point in one test: the sleeping run frees its hardware contexts,
+// so it must draw less power than the spinning one.
+class WaitScenario : public ScenarioWorkload {
+ public:
+  explicit WaitScenario(bool sleep) : sleep_(sleep) {}
+  void Setup(const ScenarioConfig&) override {}
+  void Op(ThreadContext&) override {
+    constexpr auto kWait = std::chrono::microseconds(200);
+    if (sleep_) {
+      std::this_thread::sleep_for(kWait);
+      return;
+    }
+    for (const auto end = std::chrono::steady_clock::now() + kWait;
+         std::chrono::steady_clock::now() < end;) {
+    }
+  }
+
+ private:
+  bool sleep_;
+};
+
+TEST(ScenarioEnergyTest, SleepingWaitersDrawLessPowerThanSpinningOnes) {
+  ScenarioConfig config;
+  config.threads = 2;
+  config.ops_per_thread = 250;  // about 50 ms per run
+  WaitScenario sleeping(/*sleep=*/true);
+  WaitScenario spinning(/*sleep=*/false);
+  const ScenarioResult slept = RunScenario(sleeping, config, "wait/sleep");
+  const ScenarioResult spun = RunScenario(spinning, config, "wait/spin");
+  if (spun.meter_name == "rapl") {
+    GTEST_SKIP() << "RAPL reads the whole package; this pins the CPU-time model";
+  }
+  ASSERT_EQ(spun.meter_name, "model");
+  EXPECT_GT(slept.AvgWatts(), 0.0);
+  EXPECT_LT(slept.AvgWatts(), spun.AvgWatts());
 }
 
 TEST(ScenarioEnergyTest, MeterOffLeavesEnergyZero) {
@@ -506,7 +535,7 @@ TEST(ScenarioEnergyTest, MeterOffLeavesEnergyZero) {
 
 TEST(ScenarioEnergyTest, DefaultMeterChainAlwaysYieldsAMeter) {
   // On any host: RAPL if readable, else the model. Never silently meterless.
-  auto meter = MakeDefaultMeter(TestRegistry());
+  auto meter = MakeDefaultMeter();
   ASSERT_NE(meter, nullptr);
   EXPECT_TRUE(meter->Name() == "rapl" || meter->Name() == "model");
   // PowercapPresent must not throw/crash regardless of host permissions.
