@@ -261,8 +261,12 @@ int main(int argc, char** argv) {
   }
   config.trace = !options.trace_path.empty();
   config.meter = options.meter == "off" ? MeterChoice::kOff : MeterChoice::kAuto;
-  if (config.energy_sample_ms > 0 && (!config.trace || config.meter == MeterChoice::kOff)) {
-    flags.Fail("--sample-ms writes a watts track into the trace; it needs --trace and a meter");
+  // Settings RunScenario would reject (e.g. --sample-ms without --trace or
+  // with --meter off) fail here as a bad command line.
+  try {
+    ValidateScenarioConfig(config);
+  } catch (const std::exception& error) {
+    flags.Fail(error.what());
   }
 
   if (options.chaos && !options.failpoints.empty()) {

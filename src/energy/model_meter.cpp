@@ -11,16 +11,6 @@
 namespace lockin {
 namespace {
 
-PowerModel::Breakdown PerContextWatts(const PowerModel& model, ActivityState state) {
-  const int n = model.topology().total_contexts();
-  PowerModel::Breakdown watts =
-      model.ComponentWatts(std::vector<ActivityState>(static_cast<std::size_t>(n), state), {});
-  watts.package_w /= n;
-  watts.cores_w /= n;
-  watts.dram_w /= n;
-  return watts;
-}
-
 double ProcessCpuSeconds() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -29,9 +19,16 @@ double ProcessCpuSeconds() {
 
 }  // namespace
 
+ModelMeter::ContextWatts ModelMeter::PerContext(const PowerModel& model, ActivityState state) {
+  const int n = model.topology().total_contexts();
+  const PowerModel::Breakdown machine =
+      model.ComponentWatts(std::vector<ActivityState>(static_cast<std::size_t>(n), state), {});
+  return ContextWatts{machine.package_w / n, machine.dram_w / n};
+}
+
 ModelMeter::ModelMeter(const PowerModel& model)
-    : busy_per_context_(PerContextWatts(model, ActivityState::kWorking)),
-      idle_per_context_(PerContextWatts(model, ActivityState::kInactive)),
+    : busy_per_context_(PerContext(model, ActivityState::kWorking)),
+      idle_per_context_(PerContext(model, ActivityState::kInactive)),
       contexts_(model.topology().total_contexts()),
       start_wall_(std::chrono::steady_clock::now()) {}
 

@@ -34,8 +34,15 @@ class ModelMeter : public EnergyMeter {
   EnergySample Energy(double cpu_s, double wall_s) const;
 
  private:
-  PowerModel::Breakdown busy_per_context_;
-  PowerModel::Breakdown idle_per_context_;
+  // One context's share of the machine's package and DRAM watts.
+  struct ContextWatts {
+    double package_w = 0;
+    double dram_w = 0;
+  };
+  static ContextWatts PerContext(const PowerModel& model, ActivityState state);
+
+  ContextWatts busy_per_context_;
+  ContextWatts idle_per_context_;
   int contexts_;
   double start_cpu_s_ = 0;
   std::chrono::steady_clock::time_point start_wall_;

@@ -230,6 +230,18 @@ double ScenarioResult::MetricOr(const std::string& name, double fallback) const 
   return fallback;
 }
 
+void ValidateScenarioConfig(const ScenarioConfig& config, const std::string& scenario_name) {
+  if (config.threads < 1) {
+    throw std::invalid_argument("scenario " + scenario_name + " needs at least one thread, got " +
+                                std::to_string(config.threads));
+  }
+  // The sampler's only output is the trace's watts track.
+  if (config.energy_sample_ms > 0 && (!config.trace || config.meter == MeterChoice::kOff)) {
+    throw std::invalid_argument(
+        "energy sampling writes a watts track into the trace; it needs trace on and a meter");
+  }
+}
+
 ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& config,
                            const std::string& scenario_name) {
   const std::vector<std::string> counter_names = workload.CounterNames();
@@ -237,10 +249,7 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     throw std::invalid_argument("scenario declares more than kMaxCounters counters: " +
                                 scenario_name);
   }
-  if (config.threads < 1) {
-    throw std::invalid_argument("scenario " + scenario_name + " needs at least one thread, got " +
-                                std::to_string(config.threads));
-  }
+  ValidateScenarioConfig(config, scenario_name);
 
   // FailSafe: arm the requested failpoint profile for the whole run (setup
   // included), seeded from the run seed so fire patterns are reproducible.
@@ -310,7 +319,7 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     meter->Start();
   }
   std::unique_ptr<EnergySampler> sampler;
-  if (meter != nullptr && config.trace && config.energy_sample_ms > 0) {
+  if (config.energy_sample_ms > 0) {
     sampler = std::make_unique<EnergySampler>(
         meter.get(), config.energy_sample_ms,
         TraceSession::Instance().NewBuffer(static_cast<std::uint16_t>(config.threads + 1),

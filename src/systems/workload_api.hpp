@@ -124,8 +124,9 @@ struct ScenarioConfig {
   // the run as busy contexts and the rest of the machine as idle.
   // result.energy/Tpp() report the outcome.
   MeterChoice meter = MeterChoice::kAuto;
-  // When > 0 on a traced, metered run, a background sampler thread reads
-  // the meter every energy_sample_ms into a Perfetto counter track of watts.
+  // When > 0, a background sampler thread reads the meter every
+  // energy_sample_ms into a Perfetto counter track of watts. Needs trace on
+  // and a meter; RunScenario rejects it otherwise.
   std::uint32_t energy_sample_ms = 0;
 
   // --- FailSafe robustness --------------------------------------------------
@@ -266,9 +267,15 @@ class ScenarioWorkload {
   virtual void AddSystemMetrics(std::vector<ScenarioMetric>* out) const { (void)out; }
 };
 
+// Throws std::invalid_argument naming the first setting RunScenario cannot
+// honour: threads < 1, or energy_sample_ms > 0 without a trace to write the
+// watts track into or with the meter off. RunScenario calls it before any
+// thread starts; a command line can call it to reject flags up front.
+void ValidateScenarioConfig(const ScenarioConfig& config, const std::string& scenario_name = "");
+
 // Runs `workload` under `config` on the shared driver. `scenario_name` is
 // carried into the result for labeling only. Throws std::invalid_argument
-// before any thread starts when config.threads < 1.
+// (see ValidateScenarioConfig) before any thread starts.
 ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& config,
                            const std::string& scenario_name = "");
 

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,6 +532,22 @@ TEST(ScenarioEnergyTest, MeterOffLeavesEnergyZero) {
   EXPECT_TRUE(result.meter_name.empty());
   EXPECT_DOUBLE_EQ(result.energy.total_joules(), 0.0);
   EXPECT_DOUBLE_EQ(result.Tpp(), 0.0);
+}
+
+TEST(ScenarioEnergyTest, SamplingWithoutTraceOrMeterIsRejected) {
+  // The sampler's only output is the trace's watts track, so a run that
+  // would drop it fails before any thread starts instead of ignoring it.
+  ScenarioConfig config;
+  config.lock_name = "MUTEX";
+  config.threads = 1;
+  config.ops_per_thread = 10;
+  config.energy_sample_ms = 5;
+  EXPECT_THROW(RunScenarioByName("kvstore/WT", config), std::invalid_argument);
+  config.trace = true;
+  config.meter = MeterChoice::kOff;
+  EXPECT_THROW(RunScenarioByName("kvstore/WT", config), std::invalid_argument);
+  config.meter = MeterChoice::kAuto;
+  EXPECT_NO_THROW(ValidateScenarioConfig(config));
 }
 
 TEST(ScenarioEnergyTest, DefaultMeterChainAlwaysYieldsAMeter) {
