@@ -53,7 +53,7 @@ struct RunnerOptions {
   double seconds = 0;
   std::vector<int> thread_sweep;
   std::string trace_path;
-  bool metrics = false;
+  std::string metrics_path;
   std::string meter = "auto";
   std::string failpoints;
   bool chaos = false;
@@ -86,7 +86,7 @@ void RegisterFlags(FlagParser& flags, RunnerOptions& options, ScenarioConfig& co
   flags.IntList("--thread-sweep", &options.thread_sweep, 1, 4096,
                 "run at every thread count in the list");
   flags.String("--trace", &options.trace_path, "FILE", "write a Chrome trace-event JSON");
-  flags.Bool("--metrics", &options.metrics, "print the MetricsRegistry JSON after the runs");
+  flags.String("--metrics", &options.metrics_path, "FILE", "write the MetricsRegistry JSON");
   flags.Bool("--lockdep", &config.lockdep, "arm the lock-order detector (exit 1 on a report)");
   flags.Choice("--meter", &options.meter, {"auto", "off"},
                "energy meter (auto: RAPL else the CPU-time model)");
@@ -202,6 +202,15 @@ bool WriteTraceFile(const std::string& path, const std::string& process_name) {
   return true;
 }
 
+// Writes the MetricsRegistry as one JSON document. Shared, like
+// WriteTraceFile, by the end-of-run and watchdog flush paths.
+bool WriteMetricsFile(const std::string& path) {
+  std::ofstream out(path);
+  MetricsRegistry::Instance().WriteJson(out);
+  out.close();
+  return !out.fail();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,8 +316,8 @@ int main(int argc, char** argv) {
     if (!options.trace_path.empty()) {
       WriteTraceFile(options.trace_path, trace_process_name);
     }
-    if (options.metrics) {
-      MetricsRegistry::Instance().WriteJson(std::cout);
+    if (!options.metrics_path.empty()) {
+      WriteMetricsFile(options.metrics_path);
     }
     std::fflush(nullptr);
   };
@@ -400,8 +409,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (options.metrics) {
-    MetricsRegistry::Instance().WriteJson(std::cout);
+  if (!options.metrics_path.empty() && !WriteMetricsFile(options.metrics_path)) {
+    std::fprintf(stderr, "%s: cannot write metrics file: %s\n", argv[0],
+                 options.metrics_path.c_str());
+    return 1;
   }
   if (config.lockdep) {
     const std::vector<LockdepReport> reports = LockdepReports();

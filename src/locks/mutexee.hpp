@@ -120,15 +120,34 @@ class LL_CAPABILITY("mutex") MutexeeLock {
   Mode mode() const { return mode_.load(std::memory_order_relaxed); }
   Stats GetStats() const;
   const FutexStats& futex_stats() const { return futex_stats_; }
+  // Zeroes every counter with plain stores. Call it only while the lock is
+  // idle: a concurrent holder's read-then-store bump would overwrite the
+  // reset (or the reset would drop its increment).
   void ResetStats();
 
   const MutexeeConfig& config() const { return config_; }
 
  private:
+  // How an acquisition got the lock; selects the handover counter.
+  enum class Handover { kSpin, kFutex, kTimeout };
+
+  // The lock-side spin budget of the current mode.
+  std::uint64_t LockSpinBudget() const {
+    return mode() == Mode::kSpin ? spin_lock_budget() : config_.mutex_mode_lock_cycles;
+  }
+
   // Spins up to `budget` cycles trying to move state 0 -> locked. Returns
   // true on acquisition.
   bool SpinAcquire(std::uint64_t budget);
 
+  // Sleep-phase step: acquires a free lock into state 2, or marks a held
+  // one as having sleepers (1 -> 2). Returns true on acquisition; false
+  // means state was 2 when last seen, so the caller may futex-wait on 2.
+  bool AcquireOrMarkSleepers();
+
+  // The epilogue of every successful acquisition: counts it and runs the
+  // mode adaptation. Called with the lock held.
+  void OnAcquired(Handover kind);
   void MaybeAdapt();
 
   MutexeeConfig config_{};
@@ -137,22 +156,28 @@ class LL_CAPABILITY("mutex") MutexeeLock {
   std::atomic<std::uint64_t> spin_lock_budget_{MutexeeConfig{}.spin_mode_lock_cycles};
   std::atomic<std::uint64_t> spin_grace_budget_{MutexeeConfig{}.spin_mode_grace_cycles};
 
+  // Hot line: everything an uncontended acquire+release touches, so a lock
+  // that migrates between cores costs one line miss, not two (the layout
+  // is static_assert-fenced in mutexee.cpp).
   // 0 = free, 1 = locked, no advertised sleepers, 2 = locked, sleepers.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> state_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> sleepers_{0};
-
+  std::atomic<std::uint32_t> sleepers_{0};
   std::atomic<Mode> mode_{Mode::kSpin};
-
-  // Statistics; relaxed counters off the critical path.
+  // Holder-owned counters: written only by the thread holding the lock, so
+  // they are bumped with a relaxed load and store rather than a locked RMW.
+  // They stay atomic so GetStats() may read them while the lock is in use.
   std::atomic<std::uint64_t> acquires_{0};
   std::atomic<std::uint64_t> spin_handovers_{0};
   std::atomic<std::uint64_t> futex_handovers_{0};
   std::atomic<std::uint64_t> timeout_handovers_{0};
-  std::atomic<std::uint64_t> wake_skips_{0};
-  std::atomic<std::uint64_t> mode_switches_{0};
   // Window counters for adaptation.
   std::atomic<std::uint64_t> window_acquires_{0};
   std::atomic<std::uint64_t> window_futex_{0};
+
+  // Cold line. wake_skips_ is bumped after the release by a thread that no
+  // longer holds the lock, so it needs a fetch_add; mode_switches_ is rare.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> wake_skips_{0};
+  std::atomic<std::uint64_t> mode_switches_{0};
   FutexStats futex_stats_;
 };
 

@@ -115,6 +115,65 @@ TEST(Mutexee, TimeoutWakesSleeperEventually) {
   EXPECT_GE(lock.futex_stats().timeouts.load(), 1u);
 }
 
+TEST(Mutexee, CountersExactUnderMixedContendedAcquires) {
+  // The stats counters are holder-owned (a relaxed load plus a store, no
+  // locked RMW), so they stay exact only if every bump happens while the
+  // lock is held. Mix all three acquisition modes under contention, with a
+  // small spin budget and a short sleep timeout so that spin, futex and
+  // timeout handovers all occur, and a small adapt period so MaybeAdapt's
+  // window resets run too. The critical section is a bare increment, so
+  // handovers come fast enough that a bump made after the release (racing
+  // the next holder's) loses increments within a few thousand acquires.
+  MutexeeConfig config;
+  config.spin_mode_lock_cycles = 500;
+  config.mutex_mode_lock_cycles = 100;
+  config.sleep_timeout_ns = 50'000;
+  config.adapt_period = 64;
+  MutexeeLock lock(config);
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 20000;
+  long long in_lock = 0;
+  std::atomic<std::uint64_t> acquisitions{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Thread 0's timed acquisitions use a tiny timeout, so they often
+      // expire or take the deadline's last-chance grab.
+      const std::uint64_t timeout_ns = t == 0 ? 200 : 1'000'000;
+      std::uint64_t mine = 0;
+      for (int i = 0; i < kIterations; ++i) {
+        bool acquired = true;
+        switch (i % 4) {
+          case 0:
+          case 1:
+            lock.lock();
+            break;
+          case 2:
+            acquired = lock.try_lock();
+            break;
+          default:
+            acquired = lock.try_lock_for_ns(timeout_ns);
+            break;
+        }
+        if (acquired) {
+          in_lock = in_lock + 1;
+          lock.unlock();
+          ++mine;
+        }
+      }
+      acquisitions.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const MutexeeLock::Stats stats = lock.GetStats();
+  EXPECT_EQ(static_cast<std::uint64_t>(in_lock), acquisitions.load());
+  EXPECT_EQ(stats.acquires, acquisitions.load());
+  EXPECT_EQ(stats.spin_handovers + stats.futex_handovers + stats.timeout_handovers,
+            stats.acquires);
+}
+
 TEST(Mutexee, StatsResetClears) {
   MutexeeLock lock;
   lock.lock();
