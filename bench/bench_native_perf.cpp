@@ -134,7 +134,7 @@ TierRow MeasureLock(const std::string& name, int iters) {
 
 struct DriverRow {
   double ns = 0;                 // ns/op, no latency recording
-  double record_latency_ns = 0;  // ns/op with the batched rdtsc histogram
+  double record_latency_ns = 0;  // ns/op timing 1 op in kOpLatencySampleGap
 };
 
 // One thread, TAS, empty critical section: what remains is the driver's

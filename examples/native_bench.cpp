@@ -32,8 +32,10 @@ int main(int argc, char** argv) {
   std::printf("threads=%d cs=%llu cycles, %llu ms per lock\n\n", threads,
               (unsigned long long)cs, (unsigned long long)ms);
 
-  std::printf("%-10s %14s %10s %12s %10s %12s\n", "lock", "tput(op/s)", "watts", "TPP(op/J)",
-              "p95(cyc)", "p99.99(cyc)");
+  // Percentiles come from the sampled ops (about one in kOpLatencySampleGap,
+  // ~10k in a 200 ms run), too few for a p99.99 that is not just the max.
+  std::printf("%-10s %14s %10s %12s %10s %10s %8s\n", "lock", "tput(op/s)", "watts", "TPP(op/J)",
+              "p95(cyc)", "p99(cyc)", "samples");
   LockCounterScenario::Params params;
   params.cs_cycles = cs;
   int status = 0;
@@ -45,9 +47,10 @@ int main(int argc, char** argv) {
     config.duration_ms = ms;
     config.yield_after = 512;  // survive oversubscribed hosts
     const ScenarioResult r = RunScenario(scenario, config, "lock/counter");
-    std::printf("%-10s %14.0f %10.1f %12.0f %10llu %12llu\n", name.c_str(), r.ops_per_s,
+    std::printf("%-10s %14.0f %10.1f %12.0f %10llu %10llu %8llu\n", name.c_str(), r.ops_per_s,
                 r.AvgWatts(), r.Tpp(), (unsigned long long)r.op_latency_cycles.P95(),
-                (unsigned long long)r.op_latency_cycles.P9999());
+                (unsigned long long)r.op_latency_cycles.P99(),
+                (unsigned long long)r.op_latency_cycles.count());
     if (r.MetricOr("counted") != static_cast<double>(r.total_ops)) {
       std::fprintf(stderr, "%s lost mutual exclusion: counted %.0f of %llu ops\n",
                    name.c_str(), r.MetricOr("counted"), (unsigned long long)r.total_ops);

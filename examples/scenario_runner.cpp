@@ -135,10 +135,14 @@ void EmitJson(const ScenarioResult& r, const ScenarioConfig& config) {
   if (config.record_latency) {
     // Cycles stay the JSON unit (bit-stable across hosts whose TSC
     // calibration drifts); the human-readable table converts to ns.
-    std::printf(", \"op_p50_cycles\": %llu, \"op_p99_cycles\": %llu, \"op_max_cycles\": %llu",
+    // The percentiles come from op_latency_samples timed ops (about one in
+    // kOpLatencySampleGap).
+    std::printf(", \"op_p50_cycles\": %llu, \"op_p99_cycles\": %llu, \"op_max_cycles\": %llu"
+                ", \"op_latency_samples\": %llu",
                 static_cast<unsigned long long>(r.op_latency_cycles.P50()),
                 static_cast<unsigned long long>(r.op_latency_cycles.P99()),
-                static_cast<unsigned long long>(r.op_latency_cycles.max()));
+                static_cast<unsigned long long>(r.op_latency_cycles.max()),
+                static_cast<unsigned long long>(r.op_latency_cycles.count()));
   }
   // FailSafe accounting: only printed when nonzero so default runs keep
   // byte-identical output.

@@ -59,32 +59,6 @@ void LatencyHistogram::RecordN(std::uint64_t value, std::uint64_t count) {
   }
 }
 
-void LatencyHistogram::RecordBatch(const std::uint64_t* values, std::size_t n) {
-  if (n == 0) {
-    return;
-  }
-  std::uint64_t total = 0;
-  std::uint64_t lo = ~0ULL;
-  std::uint64_t hi = 0;
-  const std::size_t last = buckets_.size() - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t value = values[i];
-    const std::size_t idx = BucketIndex(value);
-    ++buckets_[idx < last ? idx : last];
-    total += value;
-    lo = value < lo ? value : lo;
-    hi = value > hi ? value : hi;
-  }
-  count_ += n;
-  total_ += total;
-  if (lo < min_) {
-    min_ = lo;
-  }
-  if (hi > max_) {
-    max_ = hi;
-  }
-}
-
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
   if (other.sub_bucket_bits_ != sub_bucket_bits_) {
     // Fall back to re-recording bucket lower bounds; resolution differs.

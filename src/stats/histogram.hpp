@@ -23,14 +23,6 @@ class LatencyHistogram {
   void Record(std::uint64_t value);
   void RecordN(std::uint64_t value, std::uint64_t count);
 
-  // Batched fast path: records `n` values in one call. Semantically
-  // identical to calling Record(values[i]) n times, but accumulates count /
-  // total / min / max in registers and touches the member fields once, so
-  // per-sample cost is one bucket increment. The scenario driver buffers
-  // per-op latencies in a per-thread slot and flushes them through here
-  // (src/systems/workload_api.cpp).
-  void RecordBatch(const std::uint64_t* values, std::size_t n);
-
   // Merges another histogram (same sub_bucket_bits) into this one.
   void Merge(const LatencyHistogram& other);
 

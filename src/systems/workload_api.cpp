@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -74,21 +75,41 @@ class DeadlineHandle final : public LockHandle {
   std::unique_ptr<LockHandle> inner_;
 };
 
-// Per-worker hot state, one slot per thread: everything a worker writes
-// per op (op counter, counters, latency batch) lives in its own slot, each
-// slot starting on a cache-line boundary and spanning whole lines, so the
-// measured loop shares no written line across threads and the driver itself
-// performs no per-op heap allocation. (ThreadContext's scratch strings own
-// heap blocks, but those are per-thread and stop reallocating once warm.)
-struct alignas(kCacheLineSize) WorkerSlot {
-  static constexpr std::size_t kLatencyBatch = 64;
+// 1 / log(1 - 1/kOpLatencySampleGap): scales log(U), U uniform in (0, 1],
+// into a geometric gap with mean kOpLatencySampleGap.
+const double kSampleGapScale = 1.0 / std::log1p(-1.0 / kOpLatencySampleGap);
 
-  explicit WorkerSlot(std::uint64_t rng_seed) : ctx(rng_seed) {}
+// A countdown no run can exhaust: with recording off no op is timed.
+constexpr std::uint64_t kNeverSample = ~std::uint64_t{0};
+
+// Salt that keeps the latency sampler's stream apart from the workload's.
+constexpr std::uint64_t kSamplerSeedSalt = 0x6c8e9cf570932bd5ULL;
+
+// Per-worker hot state, one slot per thread: everything a worker writes
+// per op (op counter, sample countdown, counters, histogram) lives in its
+// own slot, each slot starting on a cache-line boundary and spanning whole
+// lines, so the measured loop shares no written line across threads and the
+// driver itself performs no per-op heap allocation. (ThreadContext's scratch
+// strings own heap blocks, but those are per-thread and stop reallocating
+// once warm.)
+struct alignas(kCacheLineSize) WorkerSlot {
+  WorkerSlot(std::uint64_t rng_seed, std::uint64_t sampler_seed, bool record)
+      : ctx(rng_seed), sampler(sampler_seed) {
+    if (record) {
+      sample_countdown = NextSampleGap();
+    }
+  }
+
+  // Ops up to and including the next timed one: 1 + Geometric(1/N).
+  std::uint64_t NextSampleGap() {
+    const double u = 1.0 - sampler.NextDouble();  // (0, 1]
+    return 1 + static_cast<std::uint64_t>(std::log(u) * kSampleGapScale);
+  }
 
   ThreadContext ctx;
-  std::uint32_t pending = 0;  // buffered samples not yet in the histogram
+  Xoshiro256 sampler;  // latency sampling only; never ctx.rng
+  std::uint64_t sample_countdown = kNeverSample;
   LatencyHistogram latency;
-  std::uint64_t samples[kLatencyBatch];
   std::uint64_t counters[ScenarioWorkload::kMaxCounters] = {};
 
   // FailSafe cross-thread fields. Plain members (the slot must stay movable
@@ -107,43 +128,49 @@ static_assert(sizeof(WorkerSlot) % kCacheLineSize == 0,
               "worker slots must span whole cache lines so adjacent slots "
               "never share one (false-sharing regression guard)");
 
-inline void RunOpTimed(ScenarioWorkload& workload, WorkerSlot& slot, bool record) {
-  if (record) {
-    const std::uint64_t before = ReadCycles();
-    workload.Op(slot.ctx);
-    slot.samples[slot.pending] = ReadCycles() - before;
-    if (++slot.pending == WorkerSlot::kLatencyBatch) {
-      slot.latency.RecordBatch(slot.samples, slot.pending);
-      slot.pending = 0;
-    }
-  } else {
-    workload.Op(slot.ctx);
+// One op, timed when the slot's countdown reaches zero. Op keeps one call
+// site, so a timed op runs the same code as an untimed one. The next gap is
+// drawn after the closing ReadCycles, so the draw (a log) never lands in a
+// timed window. An op that throws records nothing and leaves the countdown
+// at zero for DoOneOp to re-arm.
+inline void RunOpTimed(ScenarioWorkload& workload, WorkerSlot& slot) {
+  const bool timed = --slot.sample_countdown == 0;
+  std::uint64_t before = 0;
+  if (timed) [[unlikely]] {
+    before = ReadCycles();
+  }
+  workload.Op(slot.ctx);
+  if (timed) [[unlikely]] {
+    slot.latency.Record(ReadCycles() - before);
+    slot.sample_countdown = slot.NextSampleGap();
   }
 }
 
-// One operation with op counting and optional batched latency recording
-// wrapped around it. With a per-op deadline configured, a deadline miss on
-// the op's entry acquisition (OpShedError from the DeadlineHandle wrapper)
-// is retried with exponential backoff up to config.op_retries times, then
-// the op is shed: op_index and latency record successes only, so throughput
-// and tail latency describe completed work.
-inline void DoOneOp(ScenarioWorkload& workload, const ScenarioConfig& config, WorkerSlot& slot,
-                    bool record) {
+// One operation with op counting and sampled latency recording wrapped
+// around it. With a per-op deadline configured, a deadline miss on the op's
+// entry acquisition (OpShedError from the DeadlineHandle wrapper) is retried
+// with exponential backoff up to config.op_retries times, then the op is
+// shed: op_index and latency record successes only, so throughput and tail
+// latency describe completed work.
+inline void DoOneOp(ScenarioWorkload& workload, const ScenarioConfig& config, WorkerSlot& slot) {
   (void)FailpointFired(FailpointId::kScenarioOp);  // delay-only chaos site
   if (config.op_deadline_ns == 0) {
-    RunOpTimed(workload, slot, record);
+    RunOpTimed(workload, slot);
     ++slot.ctx.op_index;
     return;
   }
   for (std::uint32_t attempt = 0;; ++attempt) {
     ArmOpDeadline(config.op_deadline_ns);
     try {
-      RunOpTimed(workload, slot, record);
+      RunOpTimed(workload, slot);
       DisarmOpDeadline();
       ++slot.ctx.op_index;
       return;
     } catch (const OpShedError&) {
       DisarmOpDeadline();
+      if (slot.sample_countdown == 0) {
+        slot.sample_countdown = slot.NextSampleGap();  // the shed attempt was the timed one
+      }
       TraceEmit(TraceEventKind::kOpShed, attempt);
       if (attempt >= config.op_retries) {
         ++slot.shed;
@@ -166,7 +193,6 @@ void WorkerBody(ScenarioWorkload& workload, const ScenarioConfig& config, Worker
   while (!start_flag.load(std::memory_order_acquire)) {
     SpinPause(PauseKind::kYield);
   }
-  const bool record = config.record_latency;
   std::atomic_ref<std::uint64_t> progress(slot.progress);
   std::uint64_t attempts = 0;
   const std::uint32_t cadence = config.stop_check_every == 0 ? 1 : config.stop_check_every;
@@ -182,7 +208,7 @@ void WorkerBody(ScenarioWorkload& workload, const ScenarioConfig& config, Worker
         }
         countdown = cadence;
       }
-      DoOneOp(workload, config, slot, record);
+      DoOneOp(workload, config, slot);
       progress.store(++attempts, std::memory_order_relaxed);
     }
   } else {
@@ -197,13 +223,9 @@ void WorkerBody(ScenarioWorkload& workload, const ScenarioConfig& config, Worker
         countdown = cadence;
       }
       --countdown;
-      DoOneOp(workload, config, slot, record);
+      DoOneOp(workload, config, slot);
       progress.store(++attempts, std::memory_order_relaxed);
     }
-  }
-  if (slot.pending != 0) {
-    slot.latency.RecordBatch(slot.samples, slot.pending);
-    slot.pending = 0;
   }
   std::atomic_ref<bool>(slot.finished).store(true, std::memory_order_release);
 }
@@ -290,9 +312,11 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   std::vector<WorkerSlot> slots;
   slots.reserve(static_cast<std::size_t>(config.threads));
   for (int t = 0; t < config.threads; ++t) {
-    // Same per-thread seeding the pre-API cache driver used, so seeded runs
-    // (and fig13's native rows) carry over unchanged.
-    slots.emplace_back(config.seed + static_cast<std::uint64_t>(t) * 7 + 1);
+    // Same per-thread workload seeding the pre-API cache driver used, so
+    // seeded runs (and fig13's native rows) carry over unchanged.
+    const auto index = static_cast<std::uint64_t>(t);
+    slots.emplace_back(config.seed + index * 7 + 1, (config.seed ^ kSamplerSeedSalt) + index,
+                       config.record_latency);
     slots.back().ctx.thread_index = t;
   }
 

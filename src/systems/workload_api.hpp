@@ -7,7 +7,7 @@
 // adapts to the ScenarioWorkload interface (Setup once, Op per thread,
 // counters), the ScenarioRegistry names the interesting system x mix points
 // ("kvstore/WT", "cache/set-heavy", "minisql/neworder", ...), and one
-// shared driver (cache-line-aligned worker slots, batched latency
+// shared driver (cache-line-aligned worker slots, sampled latency
 // recording, stop-flag cadence, zero per-op allocation in the driver
 // itself) runs any scenario under any lock name, including ADAPTIVE. The
 // paper's lock microbenchmark is the "lock/counter" scenario, so it runs on
@@ -104,7 +104,9 @@ struct ScenarioConfig {
 
   std::uint64_t seed = 1;
   std::uint32_t yield_after = 256;  // spinlock oversubscription escape hatch
-  bool record_latency = true;       // batched per-op rdtsc histogram
+  // Sampled op-latency histogram: each worker times one op in
+  // kOpLatencySampleGap on average, at seeded geometric gaps (see below).
+  bool record_latency = true;
 
   // --- LockScope observability ----------------------------------------------
   // trace: give every worker a per-thread event ring in the process
@@ -185,6 +187,16 @@ struct ScenarioConfig {
   }
 };
 
+// Mean gap, in ops, between two ops a worker times when record_latency is
+// on. Gaps are geometric (each op is timed with probability
+// 1/kOpLatencySampleGap, independently), so the samples cannot alias with a
+// periodic op mix the way every-Nth sampling would. The gaps come from a
+// per-worker generator seeded from ScenarioConfig::seed and the thread
+// index, never from ThreadContext::rng, so the workload's op sequence is
+// the same with recording on or off. Untimed ops pay a decrement and a
+// branch: no TSC read, no histogram write.
+inline constexpr std::uint32_t kOpLatencySampleGap = 32;
+
 struct ScenarioMetric {
   std::string name;
   double value = 0;
@@ -197,7 +209,11 @@ struct ScenarioResult {
   double seconds = 0;
   std::uint64_t total_ops = 0;
   double ops_per_s = 0;
-  LatencyHistogram op_latency_cycles;  // empty unless config.record_latency
+  // Cycles per timed op, about total_ops / kOpLatencySampleGap samples
+  // (count() says how many); percentiles, mean and max describe the
+  // samples. Completed ops only: a shed attempt leaves no sample. Empty
+  // unless config.record_latency.
+  LatencyHistogram op_latency_cycles;
   // Summed per-thread counters (in CounterNames() order) followed by the
   // scenario's system-level metrics (sizes, evictions, WAL records, ...).
   std::vector<ScenarioMetric> metrics;

@@ -6,12 +6,14 @@
 // BENCH_native.json trajectory rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/locks/lock_registry.hpp"
+#include "src/platform/cycles.hpp"
 #include "src/systems/scenarios/scenario_defs.hpp"
 #include "src/systems/workload_api.hpp"
 
@@ -27,6 +29,21 @@ ScenarioConfig TinyConfig(const std::string& lock, int threads, int ops) {
   config.key_space = 512;
   config.yield_after = 64;
   return config;
+}
+
+// The driver times each completed op with probability 1/kOpLatencySampleGap,
+// so a run's sample count is Binomial(ops, 1/N): within 5 sigma of the mean,
+// and never above the op count.
+::testing::AssertionResult SampledCountPlausible(std::uint64_t samples, std::uint64_t ops) {
+  const double p = 1.0 / kOpLatencySampleGap;
+  const double mean = static_cast<double>(ops) * p;
+  const double bound = 5 * std::sqrt(mean * (1 - p));
+  const auto count = static_cast<double>(samples);
+  if (samples <= ops && count >= mean - bound && count <= mean + bound) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << samples << " samples from " << ops << " ops; expected "
+                                       << mean << " +- " << bound;
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -101,8 +118,8 @@ TEST(ScenarioDriver, FixedOpModeRunsExactly) {
   const ScenarioResult result = RunScenario(workload, config, "test/counting");
   EXPECT_EQ(result.total_ops, 3000u);
   EXPECT_EQ(result.scenario, "test/counting");
-  // With latency recording on, every op lands in the histogram.
-  EXPECT_EQ(result.op_latency_cycles.count(), 3000u);
+  // Latency recording samples about one op in kOpLatencySampleGap.
+  EXPECT_TRUE(SampledCountPlausible(result.op_latency_cycles.count(), result.total_ops));
   ASSERT_FALSE(result.metrics.empty());
   EXPECT_EQ(result.metrics[0].name, "c");
   EXPECT_EQ(result.metrics[0].value, 3000.0);
@@ -129,6 +146,69 @@ TEST(ScenarioDriver, DurationModeStops) {
   }
 }
 
+// Op i spins kSlow cycles when i % 4 == 3 and kFast otherwise. A sampler
+// with a fixed gap that is a multiple of 4 would only ever see one of the
+// two costs; geometric gaps must see both, in their 3:1 proportion.
+class KnownMixWorkload : public ScenarioWorkload {
+ public:
+  static constexpr std::uint64_t kFast = 4000;
+  static constexpr std::uint64_t kSlow = 40000;
+  void Setup(const ScenarioConfig&) override {}
+  void Op(ThreadContext& ctx) override { SpinForCycles(ctx.op_index % 4 == 3 ? kSlow : kFast); }
+};
+
+TEST(ScenarioDriver, SampledLatencyMatchesKnownMix) {
+  KnownMixWorkload workload;
+  ScenarioConfig config;
+  config.threads = 1;
+  config.ops_per_thread = 1 << 16;
+  config.meter = MeterChoice::kOff;
+  const ScenarioResult result = RunScenario(workload, config, "test/known-mix");
+  const LatencyHistogram& latency = result.op_latency_cycles;
+  EXPECT_TRUE(SampledCountPlausible(latency.count(), result.total_ops));
+  // p50 is a fast op: within the histogram's 1/32 bucket error below, and
+  // the timing overhead above.
+  EXPECT_GE(latency.P50(), KnownMixWorkload::kFast - KnownMixWorkload::kFast / 32);
+  EXPECT_LT(latency.P50(), KnownMixWorkload::kFast + KnownMixWorkload::kFast / 10);
+  // About a quarter of the samples are slow ops.
+  EXPECT_LT(latency.Percentile(0.70), 20000u);
+  EXPECT_GT(latency.Percentile(0.80), 20000u);
+  // The gaps are seeded: the same seed times the same ops.
+  const ScenarioResult again = RunScenario(workload, config, "test/known-mix");
+  EXPECT_EQ(again.op_latency_cycles.count(), latency.count());
+}
+
+// Every other attempt throws OpShedError, as a DeadlineHandle does when the
+// entry lock misses its deadline.
+class HalfShedWorkload : public ScenarioWorkload {
+ public:
+  void Setup(const ScenarioConfig&) override {}
+  void Op(ThreadContext&) override {
+    if (attempts_++ % 2 == 0) {
+      throw OpShedError("test shed");
+    }
+  }
+
+ private:
+  std::uint64_t attempts_ = 0;
+};
+
+TEST(ScenarioDriver, ShedAttemptsLeaveNoSample) {
+  HalfShedWorkload workload;
+  ScenarioConfig config;
+  config.threads = 1;
+  config.ops_per_thread = 16384;
+  config.op_deadline_ns = 1'000'000'000;  // arms the shed path; the op sheds itself
+  config.op_retries = 0;
+  config.meter = MeterChoice::kOff;
+  const ScenarioResult result = RunScenario(workload, config, "test/half-shed");
+  EXPECT_EQ(result.total_ops, 8192u);
+  EXPECT_EQ(result.ops_shed, 8192u);
+  EXPECT_EQ(result.shed_retries, 0u);
+  // Samples track completed ops (~256), not attempts (~512).
+  EXPECT_TRUE(SampledCountPlausible(result.op_latency_cycles.count(), result.total_ops));
+}
+
 TEST(ScenarioDriver, RejectsInvalidConfig) {
   CountingWorkload workload(ScenarioWorkload::kMaxCounters + 1);
   EXPECT_THROW(RunScenario(workload, ScenarioConfig{}, "test/overflow"),
@@ -152,8 +232,7 @@ TEST(ScenarioSweep, EveryScenarioUnderEveryLock) {
       EXPECT_EQ(result.total_ops, 600u) << info.name << " under " << lock;
       EXPECT_EQ(result.lock_name, lock);
       EXPECT_GT(result.ops_per_s, 0.0) << info.name << " under " << lock;
-      // One latency sample per op.
-      EXPECT_EQ(result.op_latency_cycles.count(), result.total_ops)
+      EXPECT_TRUE(SampledCountPlausible(result.op_latency_cycles.count(), result.total_ops))
           << info.name << " under " << lock;
       if (info.system == "Lock") {
         // Mutual exclusion: no increment under the lock was lost.
@@ -178,6 +257,28 @@ TEST(ScenarioDeterminism, SeededSingleThreadRunsMatch) {
           << info.name << " metric " << a.metrics[m].name;
     }
     EXPECT_EQ(a.total_ops, b.total_ops) << info.name;
+  }
+}
+
+// The sampler draws its gaps from its own generator, never ThreadContext::rng,
+// so recording latency does not change what a seeded run does.
+TEST(ScenarioDeterminism, LatencySamplingLeavesTheWorkloadAlone) {
+  for (const ScenarioInfo& info : RegisteredScenarios()) {
+    ScenarioConfig config = TinyConfig("MUTEX", 1, 2000);
+    config.seed = 7;
+    config.record_latency = true;
+    const ScenarioResult on = RunScenarioByName(info.name, config);
+    config.record_latency = false;
+    const ScenarioResult off = RunScenarioByName(info.name, config);
+    EXPECT_GT(on.op_latency_cycles.count(), 0u) << info.name;
+    EXPECT_EQ(off.op_latency_cycles.count(), 0u) << info.name;
+    ASSERT_EQ(on.metrics.size(), off.metrics.size()) << info.name;
+    for (std::size_t m = 0; m < on.metrics.size(); ++m) {
+      EXPECT_EQ(on.metrics[m].name, off.metrics[m].name) << info.name;
+      EXPECT_EQ(on.metrics[m].value, off.metrics[m].value)
+          << info.name << " metric " << on.metrics[m].name;
+    }
+    EXPECT_EQ(on.total_ops, off.total_ops) << info.name;
   }
 }
 

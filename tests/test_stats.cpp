@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/platform/rng.hpp"
 #include "src/stats/histogram.hpp"
 #include "src/stats/summary.hpp"
 #include "src/stats/table.hpp"
@@ -138,36 +137,6 @@ TEST(Histogram, PercentileExtremesOnSingleBucketData) {
   // Out-of-range quantiles clamp to the extremes.
   EXPECT_EQ(h.Percentile(-0.5), 1000u);
   EXPECT_EQ(h.Percentile(1.5), 1000u);
-}
-
-TEST(Histogram, BatchedRecordMatchesScalarPath) {
-  // Deterministic pseudo-random values spanning the linear and log regions.
-  std::uint64_t state = 42;
-  std::vector<std::uint64_t> values;
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back(SplitMix64(state) % 5000000);
-  }
-  LatencyHistogram scalar;
-  for (const std::uint64_t v : values) {
-    scalar.Record(v);
-  }
-  LatencyHistogram batched;
-  // Uneven chunks exercise the flush boundaries.
-  std::size_t offset = 0;
-  for (const std::size_t chunk : {7u, 64u, 1u, 500u}) {
-    batched.RecordBatch(values.data() + offset, chunk);
-    offset += chunk;
-  }
-  batched.RecordBatch(values.data() + offset, values.size() - offset);
-  batched.RecordBatch(values.data(), 0);  // empty batch is a no-op
-
-  EXPECT_EQ(batched.count(), scalar.count());
-  EXPECT_EQ(batched.min(), scalar.min());
-  EXPECT_EQ(batched.max(), scalar.max());
-  EXPECT_DOUBLE_EQ(batched.Mean(), scalar.Mean());
-  for (const double q : {0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(batched.Percentile(q), scalar.Percentile(q)) << q;
-  }
 }
 
 TEST(Histogram, ResetClears) {
